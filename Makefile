@@ -11,7 +11,7 @@ GO ?= go
 # parallel path, not just -j 1.
 SHORT_ENV = MIRZA_MEASURE_MS=0.2 MIRZA_WARMUP_MS=0.1 MIRZA_REPLAY_WINDOWS=2 MIRZA_WORKLOADS=xz MIRZA_PARALLELISM=4
 
-.PHONY: check vet build test test-race test-telemetry serve-check trace-check sweep-check audit conformance bench bench-smoke bench-mem clean
+.PHONY: check vet build test test-race test-telemetry serve-check trace-check sweep-check audit conformance bench bench-check bench-smoke bench-mem clean
 
 check: vet build test-race test-telemetry
 
@@ -83,6 +83,14 @@ conformance:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=NONE ./...
+
+# The repository benchmark (bench/) is a Go module of its own, so the root
+# `go test ./...` does not build or test it. This runs its tests (a smoke
+# run of every workload, BENCHMARK.json sync, wrapper and digest checks)
+# against the current checkout, which catches API changes in the packages
+# it imports (dram, replay, mem, track, ...).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Scheduler hot-path benchmarks with the regression gates: the new
 # reusable-event kernel must stay allocation-free and >= 1.5x over the

@@ -184,49 +184,6 @@ func (c Config) String() string {
 		c.TargetTRHD, c.FTH, c.MINTWindow, c.Regions, c.QueueSize, c.QTH, c.Mapping, c.ResetPolicy)
 }
 
-// regionOf returns the RCT region of a logical row, derived from its
-// physical placement: whole subarrays group into a region when
-// Regions <= subarrays, and a subarray splits into equal physical-index
-// stripes when Regions > subarrays.
-func (c Config) regionOf(row int) int {
-	g := c.Geometry
-	sa := g.Subarray(c.Mapping, row)
-	s := g.Subarrays()
-	if c.Regions <= s {
-		return sa / (s / c.Regions)
-	}
-	perSA := c.Regions / s
-	regionRows := g.SubarrayRows / perSA
-	return sa*perSA + g.PhysicalIndex(c.Mapping, row)/regionRows
-}
-
-// edgeNeighborRegion returns the adjacent region whose counter must also be
-// incremented when row sits on an intra-subarray region boundary (footnote
-// 3 of Section VI.B: a victim at a region edge would otherwise let both
-// aggressors of a double-sided pair accrue FTH each). It returns -1 when
-// the row is not an edge row or regions are not smaller than a subarray.
-func (c Config) edgeNeighborRegion(row int) int {
-	g := c.Geometry
-	s := g.Subarrays()
-	if c.Regions <= s {
-		return -1
-	}
-	perSA := c.Regions / s
-	regionRows := g.SubarrayRows / perSA
-	idx := g.PhysicalIndex(c.Mapping, row)
-	within := idx % regionRows
-	sa := g.Subarray(c.Mapping, row)
-	base := sa * perSA
-	switch {
-	case within == 0 && idx > 0:
-		return base + idx/regionRows - 1
-	case within == regionRows-1 && idx < g.SubarrayRows-1:
-		return base + idx/regionRows + 1
-	default:
-		return -1
-	}
-}
-
 // newRNG derives the package RNG from the seed.
 func (c Config) newRNG() *stats.RNG {
 	return stats.NewRNG(c.Seed ^ 0x4d49525a41) // "MIRZA"

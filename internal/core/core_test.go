@@ -65,7 +65,7 @@ func TestRegionMapping(t *testing.T) {
 	}
 	for _, row := range []int{0, 1, 127, 128, 131071} {
 		want := g.Subarray(dram.StridedR2SA, row)
-		if got := cfg.regionOf(row); got != want {
+		if got := regionOf(cfg, row); got != want {
 			t.Errorf("row %d: region %d, want subarray %d", row, got, want)
 		}
 	}
@@ -74,21 +74,21 @@ func TestRegionMapping(t *testing.T) {
 	saRows := g.SubarrayRows
 	rLow := g.RowAt(dram.StridedR2SA, 3, 10)        // physical idx 10 -> lower half
 	rHigh := g.RowAt(dram.StridedR2SA, 3, saRows-1) // upper half
-	if cfg500.regionOf(rLow) != 3*2 {
-		t.Errorf("lower half region = %d, want %d", cfg500.regionOf(rLow), 6)
+	if regionOf(cfg500, rLow) != 3*2 {
+		t.Errorf("lower half region = %d, want %d", regionOf(cfg500, rLow), 6)
 	}
-	if cfg500.regionOf(rHigh) != 3*2+1 {
-		t.Errorf("upper half region = %d, want %d", cfg500.regionOf(rHigh), 7)
+	if regionOf(cfg500, rHigh) != 3*2+1 {
+		t.Errorf("upper half region = %d, want %d", regionOf(cfg500, rHigh), 7)
 	}
 	// 64 regions = 2 subarrays per region.
 	cfg2k, _ := ForTRHD(2000)
 	r0 := g.RowAt(dram.StridedR2SA, 0, 5)
 	r1 := g.RowAt(dram.StridedR2SA, 1, 5)
 	r2 := g.RowAt(dram.StridedR2SA, 2, 5)
-	if cfg2k.regionOf(r0) != cfg2k.regionOf(r1) {
+	if regionOf(cfg2k, r0) != regionOf(cfg2k, r1) {
 		t.Error("subarrays 0 and 1 should share a region at 64 regions")
 	}
-	if cfg2k.regionOf(r0) == cfg2k.regionOf(r2) {
+	if regionOf(cfg2k, r0) == regionOf(cfg2k, r2) {
 		t.Error("subarrays 0 and 2 should not share a region at 64 regions")
 	}
 }
@@ -98,24 +98,24 @@ func TestEdgeNeighborRegion(t *testing.T) {
 	g := cfg.Geometry
 	// Row at physical index 511 (last of region 2k) must also bump region 2k+1.
 	row := g.RowAt(cfg.Mapping, 7, 511)
-	if nb := cfg.edgeNeighborRegion(row); nb != 7*2+1 {
+	if nb := edgeOf(cfg, row); nb != 7*2+1 {
 		t.Errorf("edge 511: neighbor region %d, want %d", nb, 15)
 	}
 	// Row at physical index 512 (first of upper region) must bump the lower.
 	row = g.RowAt(cfg.Mapping, 7, 512)
-	if nb := cfg.edgeNeighborRegion(row); nb != 7*2 {
+	if nb := edgeOf(cfg, row); nb != 7*2 {
 		t.Errorf("edge 512: neighbor region %d, want %d", nb, 14)
 	}
 	// Interior rows and subarray-edge rows have no neighbor region.
-	if nb := cfg.edgeNeighborRegion(g.RowAt(cfg.Mapping, 7, 100)); nb != -1 {
+	if nb := edgeOf(cfg, g.RowAt(cfg.Mapping, 7, 100)); nb != -1 {
 		t.Errorf("interior row has neighbor region %d", nb)
 	}
-	if nb := cfg.edgeNeighborRegion(g.RowAt(cfg.Mapping, 7, 0)); nb != -1 {
+	if nb := edgeOf(cfg, g.RowAt(cfg.Mapping, 7, 0)); nb != -1 {
 		t.Errorf("subarray edge row has neighbor region %d", nb)
 	}
 	// Regions >= subarray size: no edge handling needed.
 	cfg1k, _ := ForTRHD(1000)
-	if nb := cfg1k.edgeNeighborRegion(12345); nb != -1 {
+	if nb := edgeOf(cfg1k, 12345); nb != -1 {
 		t.Errorf("whole-subarray regions should have no edge neighbors, got %d", nb)
 	}
 }
@@ -179,7 +179,7 @@ func newTestMirza(t *testing.T, mutate func(*Config)) (*Mirza, *track.CountingSi
 func TestFilteringAbsorbsBelowFTH(t *testing.T) {
 	m, _ := newTestMirza(t, nil)
 	row := m.Config().Geometry.RowAt(m.Config().Mapping, 0, 100)
-	region := m.Config().regionOf(row)
+	region := regionOf(m.Config(), row)
 	for i := 0; i < m.Config().FTH; i++ {
 		m.OnActivate(0, row, 0)
 	}
@@ -299,7 +299,7 @@ func TestRefreshWalkResetsRCT(t *testing.T) {
 	cfg := m.Config()
 	g := cfg.Geometry
 	row := g.RowAt(cfg.Mapping, 0, 100)
-	region := cfg.regionOf(row)
+	region := regionOf(cfg, row)
 	for i := 0; i < 500; i++ {
 		m.OnActivate(0, row, 0)
 	}
@@ -410,7 +410,7 @@ func TestResetStatsPreservesState(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.OnActivate(0, row, 0)
 	}
-	region := m.Config().regionOf(row)
+	region := regionOf(m.Config(), row)
 	before := m.RegionCount(0, region)
 	m.ResetStats()
 	if m.Stats.ACTs != 0 {

@@ -51,8 +51,9 @@ type bankState struct {
 // Mirza implements track.Mitigator for one sub-channel. Structures are
 // replicated per bank as in Figure 8; the ALERT request is channel-wide.
 type Mirza struct {
-	cfg  Config
-	sink track.Sink
+	cfg     Config
+	regions regionMap
+	sink    track.Sink
 
 	banks []bankState
 	// refreshingRegion is the region currently mid-refresh (-1 if none);
@@ -75,7 +76,7 @@ func New(cfg Config, sink track.Sink) (*Mirza, error) {
 	if sink == nil {
 		sink = track.NopSink{}
 	}
-	m := &Mirza{cfg: cfg, sink: sink, refreshingRegion: -1}
+	m := &Mirza{cfg: cfg, regions: newRegionMap(cfg), sink: sink, refreshingRegion: -1}
 	rng := cfg.newRNG()
 	m.banks = make([]bankState, cfg.Geometry.BanksPerSubChannel)
 	for i := range m.banks {
@@ -116,14 +117,14 @@ func (m *Mirza) Name() string { return m.cfg.String() }
 func (m *Mirza) OnActivate(bank, row int, now dram.Time) {
 	m.Stats.ACTs++
 	b := &m.banks[bank]
-	region := m.cfg.regionOf(row)
+	region, edge := m.regions.of(row)
 
 	filtered := m.bumpRegion(b, region)
-	if nb := m.cfg.edgeNeighborRegion(row); nb >= 0 {
+	if edge >= 0 {
 		m.Stats.EdgeDouble++
 		// The edge-row rule increments the neighbor region as well; the
 		// filtering outcome is decided by the row's own region.
-		m.bumpRegion(b, nb)
+		m.bumpRegion(b, edge)
 	}
 	if filtered {
 		m.Stats.Filtered++
@@ -192,36 +193,7 @@ func (m *Mirza) WantsALERT() bool { return m.want }
 // OnREF implements track.Mitigator: it advances the refresh sequence and
 // applies the configured RCT reset policy at region boundaries.
 func (m *Mirza) OnREF(refIndex int, now dram.Time) {
-	g := m.cfg.Geometry
-	t := g.RefreshTargetOf(refIndex)
-
-	perSA := 1
-	if m.cfg.Regions > g.Subarrays() {
-		perSA = m.cfg.Regions / g.Subarrays()
-	}
-	regionRows := g.SubarrayRows / perSA
-	var region int
-	if m.cfg.Regions <= g.Subarrays() {
-		region = t.Subarray / (g.Subarrays() / m.cfg.Regions)
-	} else {
-		region = t.Subarray*perSA + t.FirstIdx/regionRows
-	}
-
-	// Region refresh boundaries. A region's refresh begins when the REF
-	// covers its first physical row and ends when it covers its last.
-	// With Regions <= subarrays a region spans several subarrays: it
-	// begins at the first REF of its first subarray and ends at the last
-	// REF of its last subarray.
-	saPerRegion := 1
-	if m.cfg.Regions < g.Subarrays() {
-		saPerRegion = g.Subarrays() / m.cfg.Regions
-	}
-	beginsRegion := t.FirstIdx%regionRows == 0 && (perSA > 1 || (t.FirstOfSA && t.Subarray%saPerRegion == 0))
-	endsRegion := (t.LastIdx+1)%regionRows == 0 && (perSA > 1 || (t.LastOfSA && t.Subarray%saPerRegion == saPerRegion-1))
-	if perSA > 1 {
-		beginsRegion = t.FirstIdx%regionRows == 0
-		endsRegion = (t.LastIdx+1)%regionRows == 0
-	}
+	region, beginsRegion, endsRegion := m.regions.refRegion(m.cfg.Geometry.RefreshTargetOf(refIndex))
 
 	switch m.cfg.ResetPolicy {
 	case SafeReset:

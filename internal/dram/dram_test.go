@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -151,6 +152,37 @@ func TestGeometryDefaults(t *testing.T) {
 	}
 	if g.REFsPerWindow() != 8192 {
 		t.Errorf("REFsPerWindow = %d, want 8192", g.REFsPerWindow())
+	}
+}
+
+// TestGeometryValidateRejectsNonPositive sets each field in turn to zero and
+// to a negative value: Validate must return an error naming the field, never
+// panic with a division by zero.
+func TestGeometryValidateRejectsNonPositive(t *testing.T) {
+	fields := []struct {
+		name string
+		f    func(*Geometry) *int
+	}{
+		{"SubChannels", func(g *Geometry) *int { return &g.SubChannels }},
+		{"BanksPerSubChannel", func(g *Geometry) *int { return &g.BanksPerSubChannel }},
+		{"RowsPerBank", func(g *Geometry) *int { return &g.RowsPerBank }},
+		{"RowBytes", func(g *Geometry) *int { return &g.RowBytes }},
+		{"LineBytes", func(g *Geometry) *int { return &g.LineBytes }},
+		{"MOPLines", func(g *Geometry) *int { return &g.MOPLines }},
+		{"SubarrayRows", func(g *Geometry) *int { return &g.SubarrayRows }},
+		{"RowsPerREF", func(g *Geometry) *int { return &g.RowsPerREF }},
+	}
+	for _, f := range fields {
+		for _, v := range []int{0, -1} {
+			t.Run(fmt.Sprintf("%s=%d", f.name, v), func(t *testing.T) {
+				g := Default()
+				*f.f(&g) = v
+				err := g.Validate()
+				if err == nil || !strings.Contains(err.Error(), f.name) {
+					t.Fatalf("Validate() = %v, want an error naming %s", err, f.name)
+				}
+			})
+		}
 	}
 }
 

@@ -31,11 +31,28 @@ func Default() Geometry {
 	}
 }
 
-// Validate reports an error if the geometry is inconsistent.
+// Validate reports an error if the geometry is inconsistent. Every field is
+// checked positive before any of them is used as a divisor, so a valid
+// geometry is safe to build a Decoder from.
 func (g Geometry) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"SubChannels", g.SubChannels},
+		{"BanksPerSubChannel", g.BanksPerSubChannel},
+		{"RowsPerBank", g.RowsPerBank},
+		{"RowBytes", g.RowBytes},
+		{"LineBytes", g.LineBytes},
+		{"MOPLines", g.MOPLines},
+		{"SubarrayRows", g.SubarrayRows},
+		{"RowsPerREF", g.RowsPerREF},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("dram: geometry %s must be positive, got %d", f.name, f.v)
+		}
+	}
 	switch {
-	case g.SubChannels <= 0 || g.BanksPerSubChannel <= 0 || g.RowsPerBank <= 0:
-		return fmt.Errorf("dram: geometry dimensions must be positive: %+v", g)
 	case g.RowBytes%g.LineBytes != 0:
 		return fmt.Errorf("dram: row size %d not a multiple of line size %d", g.RowBytes, g.LineBytes)
 	case g.RowsPerBank%g.SubarrayRows != 0:
@@ -90,47 +107,13 @@ func (g Geometry) FlatBank(a Address) int {
 // sub-channels and banks, then across the 16 MOP groups of the row, and
 // finally across rows. This spreads a 4KB OS page over all banks while
 // keeping 4-line bursts in an open row, which is what makes MOP the
-// best-performing policy for the baseline.
-func (g Geometry) Decompose(phys uint64) Address {
-	line := phys / uint64(g.LineBytes)
-
-	colLow := int(line % uint64(g.MOPLines))
-	line /= uint64(g.MOPLines)
-
-	sc := int(line % uint64(g.SubChannels))
-	line /= uint64(g.SubChannels)
-
-	bank := int(line % uint64(g.BanksPerSubChannel))
-	line /= uint64(g.BanksPerSubChannel)
-
-	mopGroups := g.LinesPerRow() / g.MOPLines
-	colHigh := int(line % uint64(mopGroups))
-	line /= uint64(mopGroups)
-
-	row := int(line % uint64(g.RowsPerBank))
-
-	return Address{
-		SubChannel: sc,
-		Bank:       bank,
-		Row:        row,
-		Col:        colHigh*g.MOPLines + colLow,
-	}
-}
+// best-performing policy for the baseline. Per-access callers build a
+// Decoder once instead.
+func (g Geometry) Decompose(phys uint64) Address { return g.DecomposeWith(MOP4Mapping, phys) }
 
 // Compose is the inverse of Decompose: it maps a DRAM location back to a
 // physical byte address (line-aligned).
-func (g Geometry) Compose(a Address) uint64 {
-	mopGroups := g.LinesPerRow() / g.MOPLines
-	colHigh := a.Col / g.MOPLines
-	colLow := a.Col % g.MOPLines
-
-	line := uint64(a.Row)
-	line = line*uint64(mopGroups) + uint64(colHigh)
-	line = line*uint64(g.BanksPerSubChannel) + uint64(a.Bank)
-	line = line*uint64(g.SubChannels) + uint64(a.SubChannel)
-	line = line*uint64(g.MOPLines) + uint64(colLow)
-	return line * uint64(g.LineBytes)
-}
+func (g Geometry) Compose(a Address) uint64 { return g.ComposeWith(MOP4Mapping, a) }
 
 // R2SAMapping selects how logical row addresses are assigned to physical
 // subarrays (Section IV.D of the paper).

@@ -224,6 +224,7 @@ func (s Stats) Sub(other Stats) Stats {
 // nothing but the address decomposition.
 type Channel struct {
 	cfg  Config
+	dec  dram.Decoder
 	subs []*SubChannel
 }
 
@@ -232,7 +233,7 @@ func NewChannel(k *sim.Kernel, cfg Config) (*Channel, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	ch := &Channel{cfg: cfg}
+	ch := &Channel{cfg: cfg, dec: cfg.Geometry.Decoder(cfg.AddrMapping)}
 	for i := 0; i < cfg.Geometry.SubChannels; i++ {
 		ch.subs = append(ch.subs, newSubChannel(k, cfg, i))
 	}
@@ -243,9 +244,10 @@ func NewChannel(k *sim.Kernel, cfg Config) (*Channel, error) {
 func (ch *Channel) Geometry() dram.Geometry { return ch.cfg.Geometry }
 
 // Submit enqueues a request. The request's address is decomposed with the
-// configured MOP4 layout and routed to its sub-channel.
+// configured address mapping (MOP4 by default) and routed to its
+// sub-channel.
 func (ch *Channel) Submit(r *Request) {
-	r.addr = ch.cfg.Geometry.DecomposeWith(ch.cfg.AddrMapping, r.Addr)
+	r.addr = ch.dec.Decompose(r.Addr)
 	ch.subs[r.addr.SubChannel].submit(r)
 }
 

@@ -75,12 +75,14 @@ type bankRow struct {
 // Runner replays workload activation streams into mitigators.
 type Runner struct {
 	cfg    Config
+	dec    dram.Decoder
 	gens   []trace.Generator
 	mapper *vmap.Mapper
 	mits   []track.Mitigator
 	asids  []int
 
-	coreInstr []float64 // cumulative instructions per core
+	coreInstr []float64   // cumulative instructions per core
+	coreAt    []dram.Time // coreTime of each core, kept in step with coreInstr
 	coreOp    []trace.Op
 	perCore   float64 // per-core instructions per second
 
@@ -124,11 +126,13 @@ func NewRunner(cfg Config, gens []trace.Generator, mits []track.Mitigator) (*Run
 	}
 	r := &Runner{
 		cfg:       cfg,
+		dec:       cfg.Geometry.Decoder(dram.MOP4Mapping),
 		gens:      gens,
 		mapper:    vmap.NewMapper(cfg.Geometry.CapacityBytes()),
 		mits:      mits,
 		asids:     asids,
 		coreInstr: make([]float64, len(gens)),
+		coreAt:    make([]dram.Time, len(gens)),
 		coreOp:    make([]trace.Op, len(gens)),
 		perCore:   cfg.IPS / float64(len(gens)),
 		refDue:    make([]dram.Time, cfg.Geometry.SubChannels),
@@ -152,6 +156,7 @@ func NewRunner(cfg Config, gens []trace.Generator, mits []track.Mitigator) (*Run
 		}
 		r.gens[c].Next(&r.coreOp[c])
 		r.coreInstr[c] = float64(r.coreOp[c].Gap + 1)
+		r.coreAt[c] = r.coreTime(c)
 	}
 	return r, nil
 }
@@ -173,13 +178,12 @@ func (r *Runner) coreTime(c int) dram.Time {
 // Run replays until the clock reaches the given absolute time. obs may be
 // nil.
 func (r *Runner) Run(until dram.Time, obs Observer) {
-	g := r.cfg.Geometry
 	for {
-		// Next core event.
+		// Next core event: the earliest core, ties to the lowest index.
 		c := 0
-		tc := r.coreTime(0)
-		for i := 1; i < len(r.coreInstr); i++ {
-			if ti := r.coreTime(i); ti < tc {
+		tc := r.coreAt[0]
+		for i := 1; i < len(r.coreAt); i++ {
+			if ti := r.coreAt[i]; ti < tc {
 				c, tc = i, ti
 			}
 		}
@@ -193,7 +197,7 @@ func (r *Runner) Run(until dram.Time, obs Observer) {
 
 		op := r.coreOp[c]
 		phys := r.mapper.Translate(r.asids[c], op.Line*trace.LineBytes)
-		addr := g.Decompose(phys)
+		addr := r.dec.Decompose(phys)
 		st := &r.stats[addr.SubChannel]
 		st.Accesses++
 
@@ -217,6 +221,7 @@ func (r *Runner) Run(until dram.Time, obs Observer) {
 		// Advance the core to its next operation.
 		r.gens[c].Next(&r.coreOp[c])
 		r.coreInstr[c] += float64(r.coreOp[c].Gap + 1)
+		r.coreAt[c] = r.coreTime(c)
 	}
 }
 

@@ -48,6 +48,17 @@ const (
 	MaxASID = int(uint64(1)<<(64-asidShift) - 1)
 )
 
+// lastSlots is the number of last-translation slots in front of the block
+// map, a power of two: an asid uses slot asid mod lastSlots.
+const lastSlots = 16
+
+// lastBlock remembers one key's physical superblock.
+type lastBlock struct {
+	key   uint64
+	block uint64
+	valid bool
+}
+
 // Mapper assigns physical superblocks to (address-space, virtual
 // superblock) pairs on first touch.
 type Mapper struct {
@@ -57,6 +68,10 @@ type Mapper struct {
 	blocks     map[uint64]uint64 // asid<<asidShift | vsuper -> physical superblock
 	used       map[uint64]bool
 	owners     map[uint64]int // physical superblock -> owning asid
+	// last caches each asid's most recent translation: consecutive
+	// accesses of one address space mostly stay in one 512MB superblock,
+	// so most translations skip the map lookup.
+	last [lastSlots]lastBlock
 }
 
 // NewMapper creates a mapper over a physical memory of capacityBytes.
@@ -124,6 +139,10 @@ func (m *Mapper) TranslateChecked(asid int, vaddr uint64) (uint64, error) {
 		return 0, fmt.Errorf("vmap: asid %d vaddr %#x exceeds the %d-bit virtual superblock field (max superblock index %d)", asid, vaddr, asidShift, vsuperMax)
 	}
 	key := uint64(asid)<<asidShift | vsuper
+	slot := &m.last[asid&(lastSlots-1)]
+	if slot.valid && slot.key == key {
+		return slot.block*SuperBytes + vaddr%SuperBytes, nil
+	}
 	block, ok := m.blocks[key]
 	if !ok {
 		block = (m.next * m.stride) % m.totalSuper
@@ -137,6 +156,7 @@ func (m *Mapper) TranslateChecked(asid int, vaddr uint64) (uint64, error) {
 		m.blocks[key] = block
 		m.owners[block] = asid
 	}
+	*slot = lastBlock{key: key, block: block, valid: true}
 	return block*SuperBytes + vaddr%SuperBytes, nil
 }
 

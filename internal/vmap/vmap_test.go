@@ -172,3 +172,41 @@ func TestOwnership(t *testing.T) {
 		}
 	}
 }
+
+// TestLastSlotSharing interleaves address spaces that share a
+// last-translation slot (asids equal modulo lastSlots) across several
+// superblocks each. Every (asid, superblock) pair must keep its own block,
+// and blocks must still be handed out in first-touch order along the
+// allocator stride.
+func TestLastSlotSharing(t *testing.T) {
+	m := NewMapper(64 * SuperBytes)
+	asids := []int{3, 3 + lastSlots, 3 + 2*lastSlots, 4}
+	firstTouch := map[[2]uint64]uint64{} // (asid, vsuper) -> first-touch index
+	for i := 0; i < 400; i++ {
+		asid := asids[i%len(asids)]
+		vsuper := uint64(i/len(asids)) % 5
+		if i%7 == 0 {
+			vsuper = 0 // revisit an older superblock
+		}
+		vaddr := vsuper*SuperBytes + uint64(i)*4096%SuperBytes
+		key := [2]uint64{uint64(asid), vsuper}
+		if _, ok := firstTouch[key]; !ok {
+			firstTouch[key] = uint64(len(firstTouch))
+		}
+		want := (firstTouch[key]*m.stride)%m.totalSuper*SuperBytes + vaddr%SuperBytes
+		if got := m.Translate(asid, vaddr); got != want {
+			t.Fatalf("touch %d: asid %d vsuper %d -> %#x, want %#x", i, asid, vsuper, got, want)
+		}
+		if owner, _ := m.OwnerOf(want); owner != asid {
+			t.Fatalf("touch %d: block owned by %d, want %d", i, owner, asid)
+		}
+	}
+	if m.MappedBlocks() != len(firstTouch) {
+		t.Errorf("%d blocks mapped, want %d", m.MappedBlocks(), len(firstTouch))
+	}
+	for _, asid := range asids {
+		if n := len(m.BlocksOf(asid)); n != 5 {
+			t.Errorf("asid %d owns %d blocks, want 5", asid, n)
+		}
+	}
+}
