@@ -63,13 +63,17 @@ sweep-check:
 	./scripts/sweep-check.sh
 
 # Protocol-audit gate: the auditor's unit and property suites (synthetic
-# violations, adversarial traffic, the disabled-tFAW canary), then a quick
-# fig3 run with -audit so every command the real experiment pipeline issues
-# is checked against the DDR5 invariants (see internal/audit, DESIGN.md
-# section 12). A violation fails the run with the offending command history.
+# violations, adversarial traffic, the disabled-tFAW canary), then quick
+# fig3 and fig11a runs with -audit so every command the real experiment
+# pipeline issues is checked against the DDR5 invariants (see
+# internal/audit, DESIGN.md section 12). fig11a runs MIRZA and PRAC with
+# ALERTs firing, which covers the scheduler's activate-then-ALERT path;
+# ALERTs are rare in fig3. A violation fails the run with the offending
+# command history.
 audit:
 	$(GO) test ./internal/audit/
 	$(GO) run ./cmd/mirza-bench -quick -exp fig3 -audit -j 4
+	$(GO) run ./cmd/mirza-bench -quick -exp fig11a -audit -j 4
 
 # Mitigation-conformance gate: every policy registered with the track
 # registry runs the full generic battery under the race detector — the

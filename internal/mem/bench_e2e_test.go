@@ -39,6 +39,7 @@ const (
 // the submit hook swapped.
 type benchSystem struct {
 	k     *sim.Kernel
+	ch    *mem.Channel // nil for the legacy impl
 	cores []*cpu.Core
 	clock dram.Time
 }
@@ -68,7 +69,8 @@ func newBenchSystem(tb testing.TB, impl, workload string, tap func(*mem.Request,
 		NewMitigator: built.Factory(),
 	}
 
-	k := &sim.Kernel{}
+	s := &benchSystem{k: &sim.Kernel{}}
+	k := s.k
 	var submit func(*mem.Request)
 	var geom dram.Geometry
 	switch impl {
@@ -77,6 +79,7 @@ func newBenchSystem(tb testing.TB, impl, workload string, tap func(*mem.Request,
 		if err != nil {
 			tb.Fatal(err)
 		}
+		s.ch = ch
 		submit = ch.Submit
 		geom = ch.Geometry()
 	case "legacy":
@@ -106,7 +109,6 @@ func newBenchSystem(tb testing.TB, impl, workload string, tap func(*mem.Request,
 	translate := func(core int, vaddr uint64) uint64 {
 		return mapper.Translate(core, vaddr)
 	}
-	s := &benchSystem{k: k}
 	for i, g := range gens {
 		if fp, ok := g.(interface{ FootprintBytes() uint64 }); ok {
 			for off := uint64(0); off < fp.FootprintBytes(); off += vmap.SuperBytes {
@@ -167,5 +169,27 @@ func TestFig3SteadyStateAllocFree(t *testing.T) {
 				t.Errorf("steady-state %s slice allocates %.1f times, want 0", workload, allocs)
 			}
 		})
+	}
+}
+
+// TestFig3OneScanPerWake pins the fused scan: on steady-state fotonik3d
+// traffic a scanning wake walks the window once, however many commands it
+// issues. Only an activate that raises an ALERT (or a RowPress precharge,
+// off here) costs a second traversal; the rescan-after-every-issue shape
+// measured about 1.9.
+func TestFig3OneScanPerWake(t *testing.T) {
+	s := newBenchSystem(t, "event", "fotonik3d", nil)
+	s.run()
+	scans0, wakes0 := s.ch.ScanTotals()
+	for i := 0; i < 5; i++ {
+		s.advance(benchSlice)
+	}
+	scans, wakes := s.ch.ScanTotals()
+	scans, wakes = scans-scans0, wakes-wakes0
+	if wakes == 0 {
+		t.Fatal("no scanning wakes in the measured slices")
+	}
+	if r := float64(scans) / float64(wakes); r > 1.05 {
+		t.Errorf("%d traversals over %d scanning wakes = %.3f per wake, want <= 1.05", scans, wakes, r)
 	}
 }

@@ -5,8 +5,9 @@ package mem
 // (nil in production): each hook site loads it once and pays a single nil
 // test, so an uninstalled hook set costs nothing measurable.
 type DebugOptions struct {
-	// Wake, when non-nil, receives the number of pass transitions each
-	// scheduler wake performed (0 = the wake made no progress).
+	// Wake, when non-nil, receives the number of transitions (commands
+	// and protocol steps) each scheduler wake performed (0 = the wake
+	// made no progress).
 	Wake func(progress int)
 
 	// SkipFAW disables the four-activation-window pacing check. It exists

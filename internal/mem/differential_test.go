@@ -1,9 +1,12 @@
 package mem
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"mirza/internal/dram"
+	"mirza/internal/fault"
 	"mirza/internal/sim"
 	"mirza/internal/stats"
 	"mirza/internal/track"
@@ -62,6 +65,9 @@ func (o *diffObs) ObserveAlert(sub int, phase AlertPhase, now dram.Time) {
 type submitter interface {
 	Submit(r *Request)
 	Geometry() dram.Geometry
+	PendingRequests() int
+	InstallObserver(obs CommandObserver)
+	Stats() Stats
 }
 
 // diffFeeder replays a fixed pseudo-random request schedule into a
@@ -75,10 +81,18 @@ type diffFeeder struct {
 	gap   dram.Time
 	hot   int // rows hammered to trip trackers
 	dones []dram.Time
+
+	// sub, when non-negative, pins every request to that sub-channel.
+	sub int
+	// chain is the budget of follow-up reads that posted writes' Done
+	// callbacks submit synchronously to their own sub-channel, from inside
+	// the scheduler's issue; deep counts those submitted while the channel
+	// held more than deepAt requests.
+	chain, deep, deepAt int
 }
 
 func newDiffFeeder(k *sim.Kernel, ch submitter, seed uint64, n int, gap dram.Time) *diffFeeder {
-	f := &diffFeeder{k: k, ch: ch, rng: stats.NewRNG(seed), left: n, gap: gap, hot: 4}
+	f := &diffFeeder{k: k, ch: ch, rng: stats.NewRNG(seed), left: n, gap: gap, hot: 4, sub: -1}
 	f.ev.Bind(f)
 	k.ScheduleEvent(&f.ev, 0)
 	return f
@@ -92,7 +106,9 @@ func (f *diffFeeder) Fire(now dram.Time) {
 	for i := 0; i < batch && f.left > 0; i++ {
 		f.left--
 		var addr dram.Address
-		addr.SubChannel = f.rng.Intn(g.SubChannels)
+		if addr.SubChannel = f.sub; f.sub < 0 {
+			addr.SubChannel = f.rng.Intn(g.SubChannels)
+		}
 		addr.Bank = f.rng.Intn(g.BanksPerSubChannel)
 		switch f.rng.Intn(4) {
 		case 0: // hammer a hot row (trips PRAC / BAT counters)
@@ -102,14 +118,7 @@ func (f *diffFeeder) Fire(now dram.Time) {
 		default: // scatter (conflicts, close-page)
 			addr.Row = f.rng.Intn(g.RowsPerBank)
 		}
-		idx := len(f.dones)
-		f.dones = append(f.dones, 0)
-		r := &Request{
-			Addr:  g.Compose(addr),
-			Write: f.rng.Intn(5) == 0,
-			Done:  func(at dram.Time) { f.dones[idx] = at },
-		}
-		f.ch.Submit(r)
+		f.submit(addr, f.rng.Intn(5) == 0)
 	}
 	if f.left > 0 {
 		jitter := dram.Time(f.rng.Int63n(int64(f.gap)))
@@ -117,38 +126,91 @@ func (f *diffFeeder) Fire(now dram.Time) {
 	}
 }
 
-// diffScenario runs one traffic schedule against a channel flavour and
-// returns the observed command stream, final stats, and completion times.
-func diffScenario(t *testing.T, cfg Config, build func(*sim.Kernel, Config) (submitter, func() Stats), seed uint64, n int, gap, horizon dram.Time) ([]diffCmd, Stats, []dram.Time) {
-	t.Helper()
-	k := &sim.Kernel{}
-	ch, stats := build(k, cfg)
-	obs := &diffObs{}
-	switch c := ch.(type) {
-	case *Channel:
-		c.InstallObserver(obs)
-	case *LegacyChannel:
-		c.InstallObserver(obs)
+// submit enqueues one request and records its completion time. A posted
+// write with chain budget left submits a follow-up read from its Done —
+// synchronously, while the scheduler is still inside the write's issue.
+func (f *diffFeeder) submit(addr dram.Address, write bool) {
+	g := f.ch.Geometry()
+	idx := len(f.dones)
+	f.dones = append(f.dones, 0)
+	r := &Request{Addr: g.Compose(addr), Write: write}
+	r.Done = func(at dram.Time) {
+		f.dones[idx] = at
+		if write && f.chain > 0 {
+			f.chain--
+			if f.ch.PendingRequests() > f.deepAt {
+				f.deep++
+			}
+			next := addr
+			next.Bank = (addr.Bank + 1) % g.BanksPerSubChannel
+			f.submit(next, false)
+		}
 	}
-	newDiffFeeder(k, ch, seed, n, gap)
-	k.RunUntil(horizon)
-	return obs.cmds, stats(), nil
+	f.ch.Submit(r)
 }
 
-func buildNew(k *sim.Kernel, cfg Config) (submitter, func() Stats) {
+// diffRun drives one channel flavour and returns the observed command
+// stream, final stats, and the channel itself for coverage checks.
+func diffRun(cfg Config, build func(*sim.Kernel, Config) submitter, horizon dram.Time, drive func(*sim.Kernel, submitter)) ([]diffCmd, Stats, submitter) {
+	k := &sim.Kernel{}
+	ch := build(k, cfg)
+	obs := &diffObs{}
+	ch.InstallObserver(obs)
+	drive(k, ch)
+	k.RunUntil(horizon)
+	return obs.cmds, ch.Stats(), ch
+}
+
+// requireSameStream runs drive against the new and the legacy channel
+// (each with its own kernel and mitigators from cfg) and fails on any
+// divergence in the command stream or the final stats. It returns the
+// new channel's stream, stats and channel.
+func requireSameStream(t *testing.T, cfg Config, horizon dram.Time, drive func(*sim.Kernel, submitter)) ([]diffCmd, Stats, *Channel) {
+	t.Helper()
+	gotCmds, gotStats, ch := diffRun(cfg, buildNew, horizon, drive)
+	wantCmds, wantStats, _ := diffRun(cfg, buildLegacy, horizon, drive)
+	if len(gotCmds) == 0 {
+		t.Fatal("scenario produced no commands")
+	}
+	if gotStats != wantStats {
+		t.Errorf("stats diverged:\n new: %+v\n old: %+v", gotStats, wantStats)
+	}
+	n := len(gotCmds)
+	if len(wantCmds) != n {
+		t.Errorf("command count: new %d, legacy %d", n, len(wantCmds))
+		n = min(n, len(wantCmds))
+	}
+	mismatches := 0
+	for i := 0; i < n; i++ {
+		if gotCmds[i] != wantCmds[i] {
+			t.Errorf("cmd %d diverged:\n new: %+v\n old: %+v", i, gotCmds[i], wantCmds[i])
+			if mismatches++; mismatches > 5 {
+				t.Fatal("too many divergences; stopping")
+			}
+		}
+	}
+	return gotCmds, gotStats, ch.(*Channel)
+}
+
+// feed returns a drive function that replays the seeded random schedule.
+func feed(seed uint64, n int, gap dram.Time) func(*sim.Kernel, submitter) {
+	return func(k *sim.Kernel, ch submitter) { newDiffFeeder(k, ch, seed, n, gap) }
+}
+
+func buildNew(k *sim.Kernel, cfg Config) submitter {
 	ch, err := NewChannel(k, cfg)
 	if err != nil {
 		panic(err)
 	}
-	return ch, ch.Stats
+	return ch
 }
 
-func buildLegacy(k *sim.Kernel, cfg Config) (submitter, func() Stats) {
+func buildLegacy(k *sim.Kernel, cfg Config) submitter {
 	ch, err := NewLegacyChannel(k, cfg)
 	if err != nil {
 		panic(err)
 	}
-	return ch, ch.Stats
+	return ch
 }
 
 func TestDifferentialCommandStream(t *testing.T) {
@@ -200,30 +262,7 @@ func TestDifferentialCommandStream(t *testing.T) {
 	const horizon = 300 * dram.Microsecond
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			gotCmds, gotStats, _ := diffScenario(t, tc.cfg, buildNew, 99, tc.n, tc.gap, horizon)
-			wantCmds, wantStats, _ := diffScenario(t, tc.cfg, buildLegacy, 99, tc.n, tc.gap, horizon)
-			if len(gotCmds) == 0 {
-				t.Fatal("scenario produced no commands")
-			}
-			if gotStats != wantStats {
-				t.Errorf("stats diverged:\n new: %+v\n old: %+v", gotStats, wantStats)
-			}
-			n := len(gotCmds)
-			if len(wantCmds) != n {
-				t.Errorf("command count: new %d, legacy %d", n, len(wantCmds))
-				if len(wantCmds) < n {
-					n = len(wantCmds)
-				}
-			}
-			mismatches := 0
-			for i := 0; i < n; i++ {
-				if gotCmds[i] != wantCmds[i] {
-					t.Errorf("cmd %d diverged:\n new: %+v\n old: %+v", i, gotCmds[i], wantCmds[i])
-					if mismatches++; mismatches > 5 {
-						t.Fatal("too many divergences; stopping")
-					}
-				}
-			}
+			_, gotStats, _ := requireSameStream(t, tc.cfg, horizon, feed(99, tc.n, tc.gap))
 			// Sanity: the scenarios must actually exercise their features.
 			assertCoverage(t, tc.name, gotStats)
 		})
@@ -265,9 +304,9 @@ func assertCoverage(t *testing.T, name string, st Stats) {
 // streams line up index for index).
 func TestDifferentialDrain(t *testing.T) {
 	cfg := Config{RFMBAT: 20, RowPressWeighting: true}
-	run := func(build func(*sim.Kernel, Config) (submitter, func() Stats)) []dram.Time {
+	run := func(build func(*sim.Kernel, Config) submitter) []dram.Time {
 		k := &sim.Kernel{}
-		ch, _ := build(k, cfg)
+		ch := build(k, cfg)
 		f := newDiffFeeder(k, ch, 7, 2000, 25*dram.Nanosecond)
 		k.RunUntil(2 * dram.Millisecond)
 		return f.dones
@@ -284,5 +323,157 @@ func TestDifferentialDrain(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("request %d completion: new %v, legacy %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestDifferentialPostedWriteResubmit: a posted write's Done runs inside
+// the scheduler's column issue and submits a read to the same sub-channel
+// while the queue is deeper than the window, so the scan continues over a
+// window that both the dequeue and the synchronous submit have changed.
+func TestDifferentialPostedWriteResubmit(t *testing.T) {
+	cfg := Config{WindowDepth: 4}
+	var feeders []*diffFeeder
+	requireSameStream(t, cfg, 100*dram.Microsecond, func(k *sim.Kernel, ch submitter) {
+		f := newDiffFeeder(k, ch, 11, 1500, 4*dram.Nanosecond)
+		f.sub, f.chain, f.deepAt = 0, 300, cfg.WindowDepth
+		feeders = append(feeders, f)
+	})
+	if f := feeders[0]; f.deep == 0 {
+		t.Errorf("none of %d chained submits arrived while the queue was deeper than the window", 300-f.chain)
+	}
+}
+
+// TestDifferentialFusedInstant scripts one picosecond at which a single
+// scan issues a column, a conflict precharge and an activate. Bank 1
+// opens at 0 and bank 0 at tRRD; at tRAS a hit on bank 0, a conflict on
+// bank 1 (its precharge just came due) and a closed-bank read on bank 2
+// arrive together.
+func TestDifferentialFusedInstant(t *testing.T) {
+	tm := dram.DDR5()
+	at := tm.TRAS
+	cmds, _, _ := requireSameStream(t, Config{}, 2*dram.Microsecond, func(k *sim.Kernel, ch submitter) {
+		g := ch.Geometry()
+		read := func(bank, row int) {
+			ch.Submit(&Request{Addr: g.Compose(dram.Address{Bank: bank, Row: row})})
+		}
+		script := []struct {
+			at   dram.Time
+			reqs func()
+		}{
+			{0, func() { read(1, 10) }},
+			{tm.TRRD, func() { read(0, 20) }},
+			{at, func() { read(0, 20); read(1, 30); read(2, 40) }},
+		}
+		for _, s := range script {
+			ev := &sim.Event{}
+			ev.Bind(sim.HandlerFunc(func(dram.Time) { s.reqs() }))
+			k.ScheduleEvent(ev, s.at)
+		}
+	})
+	var got []string
+	for _, c := range cmds {
+		if c.at == at && c.kind != "submit" {
+			got = append(got, fmt.Sprintf("%s/b%d", c.kind, c.bank))
+		}
+	}
+	if want := []string{"read/b0", "pre/b1", "act/b2"}; !slices.Equal(got, want) {
+		t.Errorf("commands at %v = %v, want %v", at, got, want)
+	}
+}
+
+// actAlert is a stub tracker that asserts ALERT on every period-th
+// activation it observes (RowPress equivalent ACTs included) until the
+// ALERT is serviced.
+type actAlert struct {
+	*track.Nop
+	period, acts int
+	want         bool
+}
+
+func (a *actAlert) OnActivate(bank, row int, now dram.Time) {
+	if a.acts++; a.acts%a.period == 0 {
+		a.want = true
+	}
+}
+func (a *actAlert) WantsALERT() bool       { return a.want }
+func (a *actAlert) ServiceALERT(dram.Time) { a.want = false }
+func newActAlert(period int) *actAlert     { return &actAlert{Nop: track.NewNop(), period: period} }
+
+// TestDifferentialALERTOnActivate: WantsALERT turns true on an ACT, so the
+// scan must start the ALERT right after the activate and rescan. Under
+// fault.Wrap the first poll of each assertion draws from the fault RNG,
+// so the poll count must match too: the injected fault logs compare
+// equal.
+func TestDifferentialALERTOnActivate(t *testing.T) {
+	for _, drop := range []float64{0, 0.5} {
+		t.Run(fmt.Sprintf("drop=%v", drop), func(t *testing.T) {
+			var logs []*fault.Log
+			plan := fault.Plan{Seed: 3, AlertDropRate: drop, DropACTs: 16}
+			cfg := Config{NewMitigator: func(sub int, _ track.Sink) track.Mitigator {
+				if sub == 0 {
+					logs = append(logs, fault.NewLog())
+				}
+				return fault.Wrap(plan, newActAlert(37), uint64(sub), logs[len(logs)-1])
+			}}
+			cmds, st, _ := requireSameStream(t, cfg, 200*dram.Microsecond, feed(5, 4000, 10*dram.Nanosecond))
+			if st.Alerts == 0 {
+				t.Fatal("no ALERT fired")
+			}
+			fused := false
+			for i := 1; i < len(cmds); i++ {
+				prev, c := cmds[i-1], cmds[i]
+				if c.kind == "alert" && c.phase == AlertPrologueStart && prev.kind == "act" && prev.at == c.at {
+					fused = true
+					break
+				}
+			}
+			if !fused {
+				t.Error("no ALERT started at the instant of the ACT that raised it")
+			}
+			if drop > 0 {
+				if logs[0].Count(fault.AlertDrop) == 0 {
+					t.Error("no ALERT was dropped")
+				}
+				if got, want := logs[0].Events(), logs[1].Events(); !slices.Equal(got, want) {
+					t.Errorf("fault logs diverged: new %d events, legacy %d", len(got), len(want))
+				}
+			}
+		})
+	}
+}
+
+// TestDifferentialRowPressFallback: under RowPressWeighting a demand
+// precharge reports equivalent ACTs to the tracker, so the scan stops
+// after it and rescans. With an inert tracker the command stream is the
+// same with and without the weighting, and the extra traversals prove
+// the fallback ran; with an ALERT-raising tracker the equivalent ACTs
+// start ALERTs of their own.
+func TestDifferentialRowPressFallback(t *testing.T) {
+	drive := feed(21, 3000, 15*dram.Nanosecond)
+	const horizon = 150 * dram.Microsecond
+	offCmds, _, off := requireSameStream(t, Config{}, horizon, drive)
+	onCmds, _, on := requireSameStream(t, Config{RowPressWeighting: true}, horizon, drive)
+	if !slices.Equal(onCmds, offCmds) {
+		t.Error("RowPress weighting changed the command stream of an inert tracker")
+	}
+	offScans, _ := off.ScanTotals()
+	onScans, _ := on.ScanTotals()
+	if onScans <= offScans {
+		t.Errorf("traversals with RowPress %d, without %d: the precharge fallback never rescanned", onScans, offScans)
+	}
+
+	var trackers []*actAlert
+	cfg := Config{RowPressWeighting: true, NewMitigator: func(int, track.Sink) track.Mitigator {
+		a := newActAlert(29)
+		trackers = append(trackers, a)
+		return a
+	}}
+	_, st, ch := requireSameStream(t, cfg, horizon, drive)
+	acts := 0
+	for _, a := range trackers[:ch.cfg.Geometry.SubChannels] {
+		acts += a.acts
+	}
+	if st.Alerts == 0 || int64(acts) <= st.ACTs {
+		t.Errorf("alerts %d, tracker saw %d ACTs for %d issued: want ALERTs and equivalent ACTs", st.Alerts, acts, st.ACTs)
 	}
 }

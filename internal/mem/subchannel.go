@@ -95,8 +95,15 @@ type SubChannel struct {
 	wakes int64 // kernel wakes delivered (mem_wakes_total)
 	steps int64 // step transitions across all wakes (mem_wake_steps_total)
 
+	// scans counts window traversals and scanWakes the wakes that ran the
+	// priority chain (every wake but an arrival-coalescing one). They
+	// describe how the scheduler works, not what it did, so they are
+	// never flushed to telemetry; tests read them to pin one traversal
+	// per scanning wake.
+	scans, scanWakes int64
+
 	// hitSet/confSet classify banks against the current scheduling window
-	// (pending row hit / pending row conflict). They are rebuilt per pass;
+	// (pending row hit / pending row conflict). They are rebuilt per scan;
 	// resetting costs one word write per 64 banks.
 	hitSet, confSet dram.BankSet
 
@@ -215,7 +222,7 @@ func (s *SubChannel) submit(r *Request) {
 // For an in-window arrival in the normal (unblocked) state, the entry
 // only ever *enables* its own command sort: demand precharge at
 // preReadyAt for a row conflict, activate at the bank/pacing gates for a
-// closed bank — mirrored exactly from pass()'s candidate formulas. Every
+// closed bank — mirrored exactly from scan()'s candidate formulas. Every
 // other case must force a full scan at the submit instant (return now),
 // because the arrival changes the candidate set in a way a single
 // formula does not capture:
@@ -308,9 +315,14 @@ func (s *SubChannel) wake() {
 		s.k.Reschedule(&s.wakeEv, s.nextAction)
 		return
 	}
+	s.scanWakes++
 	n := 0
-	for s.pass() {
-		n++
+	for {
+		steps, rescan := s.pass()
+		n += steps
+		if !rescan {
+			break
+		}
 	}
 	s.wakes++
 	s.steps += int64(n)
@@ -338,27 +350,23 @@ func (s *SubChannel) arm(at dram.Time) {
 // never is the sentinel "no candidate" wake time.
 const never = dram.Time(1) << 62
 
-// pass attempts the single highest-priority transition available at the
-// current instant — ALERT bookkeeping, demand REF, ALERT initiation, RFM,
-// column, precharge, activate, in that strict order — and reports whether
-// one fired (zero-delay actions chain until quiescent). When nothing
-// fires, the very same traversals have already collected the earliest
-// future candidate time for every transition sort, and pass arms the wake
-// there before returning false. Fusing the issue scan and the arm scan is
-// the second half of the fast-forward redesign: the old shape paid a full
-// window walk per issued command plus a classify-and-rescan in arm(); the
-// fused pass pays one window traversal that issues, classifies and
-// collects candidates in a single sweep.
-func (s *SubChannel) pass() bool {
+// pass walks the transition priority chain — ALERT bookkeeping, demand
+// REF, ALERT initiation, RFM, then the window's column, precharge and
+// activate commands, in that strict order — and reports how many
+// transitions it made and whether the wake must rescan. Protocol
+// transitions (ALERT, REF, RFM) fire one at a time and always rescan:
+// each can change what every later stage sees. The window's commands are
+// left to scan, which issues all of them that are due in one traversal
+// and arms the wake, so a wake normally walks the window exactly once.
+func (s *SubChannel) pass() (steps int, rescan bool) {
 	now := s.k.Now()
-	t := &s.cfg.Timing
 
 	// ALERT protocol bookkeeping.
 	switch s.alertState {
 	case alertStall:
 		if now < s.alertEndAt {
 			s.armBlocked(now)
-			return false
+			return 0, false
 		}
 		// The back-off RFM executed during the stall window; mitigation
 		// completes as the stall ends.
@@ -367,7 +375,7 @@ func (s *SubChannel) pass() bool {
 		if s.obs != nil {
 			s.obs.ObserveAlert(s.id, AlertEnd, now)
 		}
-		return true
+		return 1, true
 	case alertPrologue:
 		if now >= s.alertStallAt {
 			// Stall begins: all banks are precharged for the back-off RFM.
@@ -385,47 +393,41 @@ func (s *SubChannel) pass() bool {
 			if s.obs != nil {
 				s.obs.ObserveAlert(s.id, AlertStallStart, now)
 			}
-			return true
+			return 1, true
 		}
 	}
 
 	// Sub-channel blocked while a REF executes.
 	if now < s.refBusyUntil {
 		s.armBlocked(now)
-		return false
+		return 0, false
 	}
 
 	// Demand refresh has strict priority once due.
 	if now >= s.refDue && s.alertState == alertIdle {
-		return s.passRefresh(now)
+		if s.passRefresh(now) {
+			return 1, true
+		}
+		return 0, false
 	}
 
-	// Reactive ALERT initiation: requires at least one ACT since the
-	// previous ALERT completed (the mandatory epilogue activation).
-	if s.alertState == alertIdle && s.actSinceAlert && s.mit.WantsALERT() {
-		s.alertState = alertPrologue
-		s.alertStallAt = now + t.ABOPrologue
-		s.alertEndAt = s.alertStallAt + t.ABOStall
-		s.actSinceAlert = false
-		s.stats.Alerts++
-		s.stats.AlertStall += t.ABOStall
-		if s.obs != nil {
-			s.obs.ObserveAlert(s.id, AlertPrologueStart, now)
-		}
-		return true
+	if s.alertOwed() {
+		s.startAlert(now)
+		return 1, true
 	}
 
 	// Proactive RFM execution. Wake candidates for still-blocked pending
-	// banks need the hit classification, so they are collected after the
-	// window traversal below.
+	// banks need the hit classification, so scan collects them after its
+	// window traversal.
 	if s.rfmCount > 0 {
+		t := &s.cfg.Timing
 		for wi, w := range s.rfmPending.Words() {
 			for base := wi << 6; w != 0; w &= w - 1 {
 				b := base + bits.TrailingZeros64(w)
 				if s.openRow[b] >= 0 {
 					if now >= s.preReadyAt[b] {
 						s.precharge(b, now, false)
-						return true
+						return 1, true
 					}
 					continue
 				}
@@ -440,16 +442,62 @@ func (s *SubChannel) pass() bool {
 						s.obs.ObserveRFM(s.id, b, now)
 					}
 					s.mit.OnRFM(b, now)
-					return true
+					return 1, true
 				}
 			}
 		}
 	}
 
-	window := len(s.queue)
-	if window > s.cfg.WindowDepth {
-		window = s.cfg.WindowDepth
+	return s.scan(now)
+}
+
+// alertOwed reports whether the controller must start an ALERT now: the
+// device asserts it and at least one ACT has issued since the previous
+// ALERT completed (the mandatory epilogue activation).
+func (s *SubChannel) alertOwed() bool {
+	return s.alertState == alertIdle && s.actSinceAlert && s.mit.WantsALERT()
+}
+
+// startAlert accepts the device's ALERT request: normal operation
+// continues through the prologue, then the channel stalls for the
+// back-off RFM.
+func (s *SubChannel) startAlert(now dram.Time) {
+	t := &s.cfg.Timing
+	s.alertState = alertPrologue
+	s.alertStallAt = now + t.ABOPrologue
+	s.alertEndAt = s.alertStallAt + t.ABOStall
+	s.actSinceAlert = false
+	s.stats.Alerts++
+	s.stats.AlertStall += t.ABOStall
+	if s.obs != nil {
+		s.obs.ObserveAlert(s.id, AlertPrologueStart, now)
 	}
+}
+
+// windowLen is the number of queued requests the scheduler considers.
+func (s *SubChannel) windowLen() int {
+	return min(len(s.queue), s.cfg.WindowDepth)
+}
+
+// scan issues, in one traversal of the scheduling window, every command
+// the chain of single-command passes would issue at this instant and in
+// the same order — the oldest ready column, then the due precharges in
+// bank order, then the oldest eligible activate — and arms the wake at
+// the earliest future candidate. None of these commands can enable a
+// protocol transition of higher priority except through the tracker
+// (DESIGN.md §19), so continuing past an issue is exact. The tracker
+// sees an activate, so scan polls for an owed ALERT right after one and,
+// if owed, starts it and asks for a rescan; a RowPress precharge reports
+// equivalent ACTs, so scan always rescans after one.
+//
+// Candidates are folded after the traversal rather than per entry: a
+// hit waits for max(colReadyAt, bus), a closed bank for max(bank ready,
+// tFAW, tRRD), and max distributes over min, so one minimum per class
+// plus the gates as they stand after the issues is the exact earliest
+// instant.
+func (s *SubChannel) scan(now dram.Time) (steps int, rescan bool) {
+	t := &s.cfg.Timing
+	s.scans++
 
 	next := never
 	if s.alertState == alertPrologue {
@@ -459,13 +507,10 @@ func (s *SubChannel) pass() bool {
 		next = s.refDue // refresh is self-sustaining
 	}
 
-	// One traversal of the scheduling window does triple duty: issue the
-	// oldest ready column command, classify banks against the window
-	// (pending row hit / pending row conflict) for the precharge policy,
-	// and collect the column/activate wake candidates. The bus test for
-	// column issue is loop-invariant; a hit behind a busy bus wakes when
-	// the bus frees (busFreeAt - tCL), a blocked activate at the latest of
-	// its bank timers and the channel-level pacing gates.
+	// The traversal issues the oldest ready column command, classifies
+	// banks against the window (pending row hit / pending row conflict)
+	// for the precharge policy, and collects the earliest hit and
+	// closed-bank times for the arm.
 	hitW := s.hitSet.Words()
 	confW := s.confSet.Words()
 	if len(hitW) > 1 {
@@ -473,11 +518,9 @@ func (s *SubChannel) pass() bool {
 		s.confSet.Reset()
 	}
 	busOK := s.busFreeAt <= now+t.TCL
-	busEarliest := s.busFreeAt - t.TCL
-	skipFAW := debugSkipFAW
-	trrdGate := s.lastActAt + t.TRRD
-	fawGate := s.faw[s.fawIdx] + t.TFAW
-	actIdx := -1
+	hitAt, closedAt := never, never
+	actIdx, actBank := -1, -1
+	var actAt dram.Time
 	// Per-bank dedup: the window (up to 64 entries) repeats banks heavily,
 	// and every entry after the first of its class on a bank is fully
 	// redundant — the bank state is identical, so it reaches the same
@@ -487,14 +530,15 @@ func (s *SubChannel) pass() bool {
 	// the traversal completes; larger geometries keep per-entry set
 	// updates for the excess banks (still correct, just slower). Between
 	// scans the sets stay valid — arrivalWake reads hitSet for the
-	// pending-hit precharge veto — because only the final (arming) pass
-	// of a wake is observable out there and it always completes the
-	// traversal.
+	// pending-hit precharge veto — because every wake ends in a scan that
+	// completes its traversal, or in a blocked state arrivalWake does not
+	// classify against.
 	// resolved accumulates banks no further entry can say anything new
 	// about — closed banks after their first entry, open banks once both
 	// a hit and a conflict are recorded — so the dense tail of a deep
 	// window skips in two instructions without touching the bank planes.
-	var seenHit, seenConf, seenClosed, resolved uint64
+	var seenHit, seenConf, resolved uint64
+	window := s.windowLen()
 	qKey := s.qKey[:window]
 	qBit := s.qBit[:window]
 	// Reslicing every timing plane to the openRow length lets the first
@@ -516,24 +560,30 @@ func (s *SubChannel) pass() bool {
 			if seenHit&bit != 0 {
 				continue
 			}
-			seenHit |= bit
-			resolved |= seenConf & bit
 			at := colReadyAt[b]
 			if busOK && now >= at {
-				r := s.queue[i]
-				s.issueColumn(r, b, now)
+				// The oldest ready hit issues, and the traversal goes on
+				// over the window as the issue left it: the bus is busy,
+				// the entry is gone (its bank stays unclassified unless a
+				// later entry hits it), and the dequeue — or a posted
+				// write's Done submitting synchronously — may have moved
+				// entries into the window.
+				s.issueColumn(s.queue[i], b, now)
 				s.dequeue(i)
-				return true
+				steps++
+				busOK = false
+				window = s.windowLen()
+				qKey = s.qKey[:window]
+				qBit = s.qBit[:window]
+				i--
+				continue
 			}
+			seenHit |= bit
+			resolved |= seenConf & bit
 			if bit == 0 {
 				s.hitSet.Set(b)
 			}
-			if busEarliest > at {
-				at = busEarliest
-			}
-			if at < next {
-				next = at
-			}
+			hitAt = min(hitAt, at)
 		case row >= 0:
 			if seenConf&bit != 0 {
 				continue
@@ -544,23 +594,14 @@ func (s *SubChannel) pass() bool {
 				s.confSet.Set(b)
 			}
 		default:
-			seenClosed |= bit
 			resolved |= bit
-			at := actReadyAt[b]
-			if ia := idleAt[b]; ia > at {
-				at = ia
-			}
+			at := max(actReadyAt[b], idleAt[b])
 			if actIdx < 0 && now >= at && !s.rfmPending.Test(b) {
-				actIdx = i
+				actIdx, actBank, actAt = i, b, at
+				continue
 			}
-			if fawGate > at && !skipFAW {
-				at = fawGate
-			}
-			if trrdGate > at {
-				at = trrdGate
-			}
-			if at < next {
-				next = at
+			if b != actBank { // banks past 64 are not deduplicated
+				closedAt = min(closedAt, at)
 			}
 		}
 	}
@@ -568,7 +609,10 @@ func (s *SubChannel) pass() bool {
 	confW[0] = seenConf
 
 	// RFM wake candidates: a pending bank fires at preReady (open, no
-	// hit) or at idle (closed).
+	// hit) or at idle (closed). The precharges and the activate below
+	// leave them exact: a pending open bank is never due for a demand
+	// precharge (the RFM stage would have closed it), and a bank the
+	// activate makes pending holds a hit.
 	if s.rfmCount > 0 {
 		for wi, w := range s.rfmPending.Words() {
 			hw := hitW[wi]
@@ -585,11 +629,13 @@ func (s *SubChannel) pass() bool {
 		}
 	}
 
-	// Precharge: oldest-conflict demand or soft close-page after tRAS.
-	// A non-issuable open bank contributes its close time — immediately
-	// at preReady for a pending conflict, the soft close-page point
-	// otherwise — as a wake candidate. Hit-bearing banks are masked out
-	// wholesale (soft close-page: pending hits are served first).
+	// Precharge, in bank order: oldest-conflict demand or soft close-page
+	// after tRAS. A non-issuable open bank contributes its close time —
+	// immediately at preReady for a pending conflict, the soft close-page
+	// point otherwise — as a wake candidate. Hit-bearing banks are masked
+	// out wholesale (soft close-page: pending hits are served first). A
+	// precharged conflict bank turns its window entries into closed-bank
+	// candidates; one closed by soft close-page has no entries.
 	for wi, w := range s.open.Words() {
 		w &^= hitW[wi]
 		cw := confW[wi]
@@ -598,7 +644,15 @@ func (s *SubChannel) pass() bool {
 			conf := cw&(w&-w) != 0
 			if now >= s.preReadyAt[b] && (conf || now-s.openedAt[b] >= t.TRAS) {
 				s.precharge(b, now, false)
-				return true
+				steps++
+				if s.cfg.RowPressWeighting {
+					return steps, true
+				}
+				if conf {
+					s.confSet.Clear(b)
+					closedAt = min(closedAt, max(s.actReadyAt[b], s.idleAt[b]))
+				}
+				continue
 			}
 			at := s.preReadyAt[b]
 			if !conf && s.openedAt[b]+t.TRAS > at {
@@ -611,11 +665,36 @@ func (s *SubChannel) pass() bool {
 	}
 
 	// Activate the oldest eligible request, gated by the channel-level
-	// ACT pacing (tRRD and the four-activation window).
-	if actIdx >= 0 && now >= trrdGate && (skipFAW || now >= fawGate) {
-		key := s.qKey[actIdx]
-		s.activate(int(uint32(key)), int(key>>32), now)
-		return true
+	// ACT pacing (tRRD and the four-activation window). The bank then
+	// holds a hit, and the pacing gates move past now.
+	skipFAW := debugSkipFAW
+	trrdGate := s.lastActAt + t.TRRD
+	fawGate := s.faw[s.fawIdx] + t.TFAW
+	if actIdx >= 0 {
+		if now >= trrdGate && (skipFAW || now >= fawGate) {
+			s.activate(actBank, int(s.qKey[actIdx]>>32), now)
+			steps++
+			if s.alertOwed() {
+				s.startAlert(now)
+				return steps + 1, true
+			}
+			s.hitSet.Set(actBank)
+			hitAt = min(hitAt, s.colReadyAt[actBank])
+			trrdGate = s.lastActAt + t.TRRD
+			fawGate = s.faw[s.fawIdx] + t.TFAW
+		} else {
+			closedAt = min(closedAt, actAt)
+		}
+	}
+
+	if hitAt < never {
+		next = min(next, max(hitAt, s.busFreeAt-t.TCL))
+	}
+	if closedAt < never {
+		if !skipFAW {
+			closedAt = max(closedAt, fawGate)
+		}
+		next = min(next, max(closedAt, trrdGate))
 	}
 
 	if next < never && next <= now {
@@ -625,7 +704,7 @@ func (s *SubChannel) pass() bool {
 		next = now + dram.Picosecond
 	}
 	s.arm(next)
-	return false
+	return steps, false
 }
 
 // armBlocked arms the wake while the sub-channel cannot issue at all (an
@@ -653,7 +732,7 @@ func (s *SubChannel) armBlocked(now dram.Time) {
 		// none issue before refBusyUntil), so WantsALERT sampled here
 		// holds until then.
 		idleThrough := len(s.queue) == 0 && s.rfmCount == 0 &&
-			!(s.alertState == alertIdle && s.actSinceAlert && s.mit.WantsALERT()) &&
+			!s.alertOwed() &&
 			s.refDue > s.refBusyUntil && s.open.None()
 		if !idleThrough && s.refBusyUntil < next {
 			next = s.refBusyUntil
