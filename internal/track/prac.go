@@ -42,14 +42,27 @@ func ATHForTRHD(trhd int) int {
 // which the memory controller applies when this mitigator is selected; the
 // tracker itself is mitigation-silent for benign workloads at the paper's
 // thresholds.
+//
+// The counters are held in chunks of pracChunkRows rows, allocated when a
+// row of the chunk first activates; an absent chunk reads as all zeros. A
+// dense array would be 8 MiB per sub-channel at the default geometry, and
+// how much of it is resident would depend on where the Go heap placed it
+// and on the scavenger's timing, so peak memory would vary from run to
+// run. A simulation activates a small share of the rows, and the counters'
+// footprint follows the rows it activates.
 type PRAC struct {
 	cfg      PRACConfig
 	sink     Sink
-	counters [][]uint16 // [bank][row]
-	pending  [][]int    // rows at/above ATH awaiting mitigation, per bank
+	counters [][]*pracChunk // [bank][row/pracChunkRows], nil until activated
+	pending  [][]int        // rows at/above ATH awaiting mitigation, per bank
 	want     bool
 	Stats    Stats
 }
+
+// pracChunkRows is how many rows' counters PRAC allocates at once.
+const pracChunkRows = 1024
+
+type pracChunk [pracChunkRows]uint16
 
 var _ Mitigator = (*PRAC)(nil)
 
@@ -63,12 +76,24 @@ func NewPRAC(cfg PRACConfig, sink Sink) *PRAC {
 	}
 	p := &PRAC{cfg: cfg, sink: sink}
 	banks := cfg.Geometry.BanksPerSubChannel
-	p.counters = make([][]uint16, banks)
+	p.counters = make([][]*pracChunk, banks)
 	p.pending = make([][]int, banks)
+	chunks := (cfg.Geometry.RowsPerBank + pracChunkRows - 1) / pracChunkRows
 	for b := range p.counters {
-		p.counters[b] = make([]uint16, cfg.Geometry.RowsPerBank)
+		p.counters[b] = make([]*pracChunk, chunks)
 	}
 	return p
+}
+
+// counter returns row's counter in bank, allocating its chunk on first use.
+func (p *PRAC) counter(bank, row int) *uint16 {
+	cs := p.counters[bank]
+	c := cs[row/pracChunkRows]
+	if c == nil {
+		c = new(pracChunk)
+		cs[row/pracChunkRows] = c
+	}
+	return &c[row%pracChunkRows]
 }
 
 // Name implements Mitigator.
@@ -77,13 +102,13 @@ func (p *PRAC) Name() string { return fmt.Sprintf("PRAC+ABO(ATH=%d)", p.cfg.Aler
 // OnActivate implements Mitigator.
 func (p *PRAC) OnActivate(bank, row int, now dram.Time) {
 	p.Stats.ACTs++
-	c := p.counters[bank]
-	if int(c[row]) >= p.cfg.AlertThreshold {
+	c := p.counter(bank, row)
+	if int(*c) >= p.cfg.AlertThreshold {
 		// Already pending; nothing more to record (saturate).
 		return
 	}
-	c[row]++
-	if int(c[row]) >= p.cfg.AlertThreshold {
+	*c++
+	if int(*c) >= p.cfg.AlertThreshold {
 		p.pending[bank] = append(p.pending[bank], row)
 		p.Stats.Insertions++
 		if !p.want {
@@ -103,11 +128,15 @@ func (p *PRAC) OnREF(refIndex int, now dram.Time) {
 	t := g.RefreshTargetOf(refIndex)
 	for idx := t.FirstIdx; idx <= t.LastIdx; idx++ {
 		row := g.RowAt(p.cfg.Mapping, t.Subarray, idx)
-		for b := range p.counters {
-			if int(p.counters[b][row]) >= p.cfg.AlertThreshold {
+		for b, cs := range p.counters {
+			c := cs[row/pracChunkRows]
+			if c == nil {
+				continue
+			}
+			if int(c[row%pracChunkRows]) >= p.cfg.AlertThreshold {
 				p.removePending(b, row)
 			}
-			p.counters[b][row] = 0
+			c[row%pracChunkRows] = 0
 		}
 	}
 	p.recomputeWant()
@@ -136,7 +165,7 @@ func (p *PRAC) mitigateOne(bank int, now dram.Time) {
 	}
 	row := q[0]
 	p.pending[bank] = q[1:]
-	p.counters[bank][row] = 0
+	*p.counter(bank, row) = 0
 	p.Stats.Mitigations++
 	p.sink.RowMitigated(bank, row, MitigationVictims, now)
 }
@@ -177,9 +206,9 @@ func (p *PRAC) recomputeWant() {
 // whose effect on the security margin the fault harness measures.
 func (p *PRAC) InjectStateFault(rng *stats.RNG) string {
 	bank := rng.Intn(len(p.counters))
-	row := rng.Intn(len(p.counters[bank]))
+	row := rng.Intn(p.cfg.Geometry.RowsPerBank)
 	bit := rng.Intn(12) // ATH values need at most 12 bits
-	p.counters[bank][row] ^= 1 << bit
+	*p.counter(bank, row) ^= 1 << bit
 	return fmt.Sprintf("prac[bank=%d][row=%d] bit %d", bank, row, bit)
 }
 
@@ -188,8 +217,13 @@ func (p *PRAC) InjectStateFault(rng *stats.RNG) string {
 func (p *PRAC) MaxCounter(bank int) int {
 	max := 0
 	for _, c := range p.counters[bank] {
-		if int(c) > max {
-			max = int(c)
+		if c == nil {
+			continue
+		}
+		for _, v := range c {
+			if int(v) > max {
+				max = int(v)
+			}
 		}
 	}
 	return max

@@ -172,6 +172,52 @@ func TestPRACPendingClearedByRefresh(t *testing.T) {
 	}
 }
 
+// TestPRACCountersFollowActivatedRows pins the lazily allocated counters:
+// a refresh sweep over rows that never activated allocates nothing, an
+// activation allocates one chunk, and an absent chunk reads as zeros to
+// refresh, MaxCounter and fault injection alike.
+func TestPRACCountersFollowActivatedRows(t *testing.T) {
+	g := dram.Default()
+	p := NewPRAC(PRACConfig{Geometry: g, Mapping: dram.StridedR2SA, AlertThreshold: 1000}, nil)
+	chunks := func() (n int) {
+		for _, cs := range p.counters {
+			for _, c := range cs {
+				if c != nil {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	sweep := func() {
+		for k := 0; k < g.REFsPerWindow(); k++ {
+			p.OnREF(k, 0)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, sweep); allocs != 0 || chunks() != 0 {
+		t.Fatalf("idle refresh sweep: %.0f allocs, %d chunks; want 0, 0", allocs, chunks())
+	}
+	row := g.RowsPerBank - 1
+	for i := 0; i < 7; i++ {
+		p.OnActivate(2, row, 0)
+	}
+	if chunks() != 1 || p.MaxCounter(2) != 7 || p.MaxCounter(3) != 0 {
+		t.Fatalf("after 7 ACTs: %d chunks, max %d/%d; want 1 chunk, max 7/0",
+			chunks(), p.MaxCounter(2), p.MaxCounter(3))
+	}
+	sweep()
+	if p.MaxCounter(2) != 0 {
+		t.Errorf("counter after a refresh sweep = %d, want 0", p.MaxCounter(2))
+	}
+	rng := stats.NewRNG(3)
+	for i := 0; i < 64; i++ {
+		p.InjectStateFault(rng)
+	}
+	if chunks() <= 1 {
+		t.Errorf("fault injection into absent chunks left %d chunks", chunks())
+	}
+}
+
 func TestATHForTRHD(t *testing.T) {
 	if ath := ATHForTRHD(1000); ath <= 0 || ath > 500 {
 		t.Errorf("ATH(1000) = %d", ath)
