@@ -184,6 +184,7 @@ func TestFanRejectsBadGrids(t *testing.T) {
 		"unknown-field":  `{"experiments":["alpha"],"nope":1}`,
 		"empty-grid":     `{}`,
 		"bad-experiment": `{"experiments":["badx"]}`,
+		"seed-overflow":  `{"experiments":["alpha"],"seeds":{"from":1,"to":18446744073709551615}}`,
 	}
 	for name, body := range cases {
 		t.Run(name, func(t *testing.T) {

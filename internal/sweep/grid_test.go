@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -70,6 +71,10 @@ func TestGridValidation(t *testing.T) {
 		{"zero-from", Grid{Experiments: []string{"fig3"}, Seeds: SeedRange{From: 0, To: 5}}, "both ends"},
 		{"inverted", Grid{Experiments: []string{"fig3"}, Seeds: SeedRange{From: 5, To: 2}}, "from=5 > to=2"},
 		{"too-many", Grid{Experiments: []string{"fig3"}, Seeds: SeedRange{From: 1, To: MaxShards + 1}}, "above the"},
+		// Spans beyond MaxInt64 once converted to a negative int and
+		// panicked in makeslice instead of failing the bound.
+		{"span-all-uint64", Grid{Experiments: []string{"fig3"}, Seeds: SeedRange{From: 1, To: math.MaxUint64}}, "above the"},
+		{"span-upper-half", Grid{Experiments: []string{"fig3"}, Seeds: SeedRange{From: 1 << 63, To: math.MaxUint64}}, "above the"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,5 +99,18 @@ func TestParseGridStrict(t *testing.T) {
 	}
 	if _, err := ParseGrid([]byte(`{"experiments":["fig3"]}{"again":1}`)); err == nil {
 		t.Fatal("accepted trailing data")
+	}
+}
+
+// TestShardSeedsAtUint64Top: a small range ending at the largest seed
+// enumerates exactly its seeds (the loop must not wrap around).
+func TestShardSeedsAtUint64Top(t *testing.T) {
+	g := &Grid{Experiments: []string{"fig3"}, Seeds: SeedRange{From: math.MaxUint64 - 1, To: math.MaxUint64}}
+	shards, err := g.Shards()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shards) != 2 || shards[0].Req.Seed != math.MaxUint64-1 || shards[1].Req.Seed != math.MaxUint64 {
+		t.Fatalf("shards = %+v", shards)
 	}
 }

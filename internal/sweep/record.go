@@ -43,10 +43,11 @@ type VerifySummary struct {
 
 // VerifyLedger is the full `mirza-sweep verify` check over a ledger
 // directory: the provenance layer's byte-level verification (entry log,
-// record hashes, Merkle root, every inclusion proof) plus the
-// sweep-level binding that each record is a clean canonical run
-// manifest answering for its entry's key — config hash, seed and fault
-// plan included. Any flipped byte anywhere fails loudly.
+// record hashes, Merkle root, every inclusion proof) plus
+// validateManifest on every record — the admission check the engine
+// applies, binding each record to its entry's key (config hash, seed and
+// fault plan included) as a clean canonical run manifest. Any flipped
+// byte anywhere fails loudly.
 func VerifyLedger(dir string) (VerifySummary, error) {
 	l, err := provenance.Open(dir)
 	if err != nil {
@@ -60,18 +61,8 @@ func VerifyLedger(dir string) (VerifySummary, error) {
 		if err != nil {
 			return VerifySummary{}, err
 		}
-		var m telemetry.RunManifest
-		if err := json.Unmarshal(b, &m); err != nil {
-			return VerifySummary{}, fmt.Errorf("sweep: entry %d (%s): record is not a run manifest: %w", e.Seq, e.Key, err)
-		}
-		if got := fmt.Sprintf("%s-%d", m.ConfigHash, m.Seed); got != e.Key {
-			return VerifySummary{}, fmt.Errorf("sweep: entry %d: manifest answers for key %s, ledger says %s", e.Seq, got, e.Key)
-		}
-		if telemetry.ConfigHash(m.Config) != m.ConfigHash {
-			return VerifySummary{}, fmt.Errorf("sweep: entry %d (%s): manifest config does not hash to its config_hash", e.Seq, e.Key)
-		}
-		if m.Degraded {
-			return VerifySummary{}, fmt.Errorf("sweep: entry %d (%s): degraded-fidelity manifest in the ledger", e.Seq, e.Key)
+		if err := validateManifest(b, e.Key); err != nil {
+			return VerifySummary{}, fmt.Errorf("sweep: entry %d (%s): %w", e.Seq, e.Key, err)
 		}
 	}
 	return VerifySummary{Entries: l.Len(), Root: l.Root().String()}, nil

@@ -3,12 +3,13 @@
 # tamper-evident provenance ledger.
 #
 # Builds mirza-bench and mirza-sweep, runs a tiny table1 grid at
-# -workers 2 and again (fresh ledger, no shared cache) at -workers 1,
-# asserts the two ledgers are byte-identical file-for-file, verifies
-# every Merkle inclusion proof with `mirza-sweep verify`, exercises the
-# incremental-rerun cache path, and finally flips one byte of a recorded
-# manifest to prove verification fails loudly. Run by `make sweep-check`
-# and CI.
+# -workers 2 and again (fresh ledger) at -workers 1, asserts the two
+# ledger directories are byte-identical file-for-file, verifies every
+# Merkle inclusion proof with `mirza-sweep verify`, exercises the
+# incremental rerun (recorded shards are reused from the ledger, each
+# manifest stored exactly once), and finally flips one byte of a
+# recorded manifest to prove verification fails loudly. Run by
+# `make sweep-check` and CI.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -36,13 +37,14 @@ echo "sweep-check: grid run at -workers 2"
 "$sweep" run "${grid[@]}" -ledger "$workdir/a" -workers 2 -table "$workdir/a.md" \
     >"$workdir/run-a.txt" || fail "2-worker sweep failed: $(cat "$workdir/run-a.txt")"
 
-echo "sweep-check: same grid at -workers 1 (fresh ledger, fresh cache)"
+echo "sweep-check: same grid at -workers 1 (fresh ledger)"
 "$sweep" run "${grid[@]}" -ledger "$workdir/b" -workers 1 -table "$workdir/b.md" \
     >"$workdir/run-b.txt" || fail "1-worker sweep failed: $(cat "$workdir/run-b.txt")"
 
-# The determinism contract: the ledger — entries, head, every recorded
-# manifest — and the rendered table are byte-identical at any -workers.
-diff -r --exclude=cache "$workdir/a" "$workdir/b" >/dev/null \
+# The determinism contract: the whole ledger directory — entries, head,
+# every recorded manifest — and the rendered table are byte-identical at
+# any -workers.
+diff -r "$workdir/a" "$workdir/b" >/dev/null \
     || fail "-workers 2 ledger differs from -workers 1 (run 'diff -r' on them)"
 cmp -s "$workdir/a.md" "$workdir/b.md" \
     || fail "rendered sweep tables differ between worker counts"
@@ -63,6 +65,12 @@ echo "sweep-check: incremental rerun (seeds 1-4: 3 cached, 1 new)"
 grep -q "(+1)" "$workdir/run-c.txt" \
     || fail "incremental rerun did not append exactly one entry: $(cat "$workdir/run-c.txt")"
 "$sweep" verify -ledger "$workdir/a" >/dev/null || fail "ledger fails verify after the incremental append"
+# The ledger is its own cache: one manifest file per entry, no copies.
+n_manifests=$(find "$workdir/a/manifests" -name '*.json' | wc -l)
+n_entries=$(grep -c . "$workdir/a/entries.ndjson")
+[[ "$n_manifests" -eq "$n_entries" ]] \
+    || fail "ledger holds $n_manifests manifest files for $n_entries entries"
+[[ ! -e "$workdir/a/cache" ]] || fail "ledger directory still has a cache/ copy"
 
 echo "sweep-check: single inclusion proof (prove -seq 2)"
 "$sweep" prove -ledger "$workdir/a" -seq 2 >"$workdir/prove.txt" \
