@@ -68,12 +68,14 @@ sweep-check:
 # pipeline issues is checked against the DDR5 invariants (see
 # internal/audit, DESIGN.md section 12). fig11a runs MIRZA and PRAC with
 # ALERTs firing, which covers the scheduler's activate-then-ALERT path;
-# ALERTs are rare in fig3. A violation fails the run with the offending
-# command history.
+# ALERTs are rare in fig3. A short audited mirza-sim run covers the
+# command's own entry into the shared simulation path (DESIGN.md section
+# 20). A violation fails the run with the offending command history.
 audit:
 	$(GO) test ./internal/audit/
 	$(GO) run ./cmd/mirza-bench -quick -exp fig3 -audit -j 4
 	$(GO) run ./cmd/mirza-bench -quick -exp fig11a -audit -j 4
+	$(GO) run ./cmd/mirza-sim -workload xz -mitigation prac -ms 0.2 -warmup-ms 0.1 -audit
 
 # Mitigation-conformance gate: every policy registered with the track
 # registry runs the full generic battery under the race detector — the

@@ -20,8 +20,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mirza/internal/attack"
@@ -33,49 +35,52 @@ import (
 )
 
 func main() {
-	var (
-		mitigation = flag.String("mitigation", "mirza", "mitigation policy, name[:key=val,...] (see -list-mitigations)")
-		trhd       = flag.Int("trhd", 1000, "target double-sided threshold")
-		pattern    = flag.String("pattern", "double-sided", "single-sided | double-sided | circular | feinting | edge | trr-evasion")
-		rows       = flag.Int("rows", 32, "rows for the circular pattern")
-		windows    = flag.Int("windows", 2, "refresh windows (32ms each) to attack")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		listMit    = flag.Bool("list-mitigations", false, "list registered mitigation policies and exit")
-	)
-	flag.StringVar(mitigation, "defense", *mitigation, "alias for -mitigation")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *listMit {
-		for _, d := range track.Descriptors() {
-			note := ""
-			if d.Insecure {
-				note = " [no security guarantee]"
-			}
-			fmt.Printf("%-12s %s%s\n", d.Name, d.Doc, note)
-			for _, p := range d.ConfigSchema {
-				fmt.Printf("    %-10s %-6s %s\n", p.Key, p.Kind, p.Doc)
-			}
+// run is the command: it parses args, runs the attack and prints the
+// verdict to stdout. It returns the exit status: 0 secure, 1 broken or
+// invalid input, 2 a malformed command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mirza-attack", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		pattern = fs.String("pattern", "double-sided", "single-sided | double-sided | circular | feinting | edge | trr-evasion")
+		rows    = fs.Int("rows", 32, "rows for the circular pattern")
+		windows = fs.Int("windows", 2, "refresh windows (32ms each) to attack")
+		mit     = cliflags.RegisterMitigation(fs)
+	)
+	mit.Alias(fs, "defense")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		return
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "mirza-attack:", err)
+		return code
+	}
+
+	if mit.Listed(stdout) {
+		return 0
 	}
 
 	g := dram.Default()
 	mapping := dram.StridedR2SA
-
-	name, overrides, err := cliflags.ParseMitigation(*mitigation)
-	if err != nil {
-		fatal(err)
+	if *windows < 1 {
+		return fail(2, fmt.Errorf("-windows: must attack at least one refresh window, got %d", *windows))
 	}
-	built, err := track.Build(name, overrides, track.Config{
-		Geometry: g,
-		Mapping:  mapping,
-		TRHD:     *trhd,
-		Seed:     *seed,
-	})
+	if maxRows := (g.SubarrayRows - 1) / 2; *pattern == "circular" && (*rows < 1 || *rows > maxRows) {
+		return fail(2, fmt.Errorf("-rows: a circular pattern needs 1 to %d rows to fit a subarray, got %d", maxRows, *rows))
+	}
+
+	built, err := mit.Build()
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 	timing := built.Timing()
+	trhd := mit.TRHD()
 
 	var pat attack.Pattern
 	switch *pattern {
@@ -88,9 +93,9 @@ func main() {
 	case "feinting", "edge":
 		// These patterns target MIRZA's queue and region geometry, so they
 		// are parameterized by the paper's configuration for this TRHD.
-		cfg, err := core.ForTRHD(*trhd)
+		cfg, err := core.ForTRHD(trhd)
 		if err != nil {
-			fatal(err)
+			return fail(1, err)
 		}
 		if *pattern == "feinting" {
 			pat = attack.Feinting(g, mapping, 3, cfg.QueueSize)
@@ -105,7 +110,7 @@ func main() {
 		rot = append(rot, g.RowAt(mapping, 3, 900))
 		pat = attack.NewRotation("trr-evasion", rot...)
 	default:
-		fatal(fmt.Errorf("unknown pattern %q", *pattern))
+		return fail(1, fmt.Errorf("unknown pattern %q", *pattern))
 	}
 
 	sim := attack.NewBankSim(attack.BankSimConfig{
@@ -116,22 +121,17 @@ func main() {
 	res := sim.RunWindows(pat, *windows)
 	bound := built.Bound()
 
-	fmt.Printf("defense  : %s (configured for TRHD=%d)\n", sim.Mitigator().Name(), *trhd)
-	fmt.Printf("pattern  : %s over %d refresh windows (%v)\n", pat.Name(), *windows, res.Elapsed)
-	fmt.Printf("activity : %d ACTs, %d REFs, %d RFMs, %d ALERTs, %d mitigations\n",
+	fmt.Fprintf(stdout, "defense  : %s (configured for TRHD=%d)\n", sim.Mitigator().Name(), trhd)
+	fmt.Fprintf(stdout, "pattern  : %s over %d refresh windows (%v)\n", pat.Name(), *windows, res.Elapsed)
+	fmt.Fprintf(stdout, "activity : %d ACTs, %d REFs, %d RFMs, %d ALERTs, %d mitigations\n",
 		res.ACTs, res.REFs, res.RFMs, res.Alerts, res.Mitigations)
-	fmt.Printf("exposure : max single-sided %d, max double-sided %d unmitigated ACTs\n",
+	fmt.Fprintf(stdout, "exposure : max single-sided %d, max double-sided %d unmitigated ACTs\n",
 		res.MaxSingleSided, res.MaxDoubleSided)
-	fmt.Printf("bound    : %d (%s)\n", bound.TRHD, bound.Kind)
-	if res.MaxDoubleSided < bound.TRHD {
-		fmt.Println("verdict  : SECURE (exposure stayed below the bound)")
-	} else {
-		fmt.Println("verdict  : BROKEN (exposure reached the threshold)")
-		os.Exit(1)
+	fmt.Fprintf(stdout, "bound    : %d (%s)\n", bound.TRHD, bound.Kind)
+	if res.MaxDoubleSided >= bound.TRHD {
+		fmt.Fprintln(stdout, "verdict  : BROKEN (exposure reached the threshold)")
+		return 1
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mirza-attack:", err)
-	os.Exit(1)
+	fmt.Fprintln(stdout, "verdict  : SECURE (exposure stayed below the bound)")
+	return 0
 }

@@ -35,115 +35,132 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
 	"time"
 
-	"mirza/internal/audit"
 	"mirza/internal/cliflags"
 	"mirza/internal/cpu"
 	"mirza/internal/dram"
+	"mirza/internal/experiments"
 	"mirza/internal/fault"
 	"mirza/internal/jobs"
-	"mirza/internal/mem"
 	"mirza/internal/sim"
 	"mirza/internal/telemetry"
 	"mirza/internal/tenant"
 	"mirza/internal/trace"
 	"mirza/internal/tracefile"
-	"mirza/internal/track"
 	_ "mirza/internal/track/policies" // register every mitigation policy
 )
 
-// runConfig carries the flag settings shared by every simulation job.
-type runConfig struct {
-	built      *track.Built // resolved, validated mitigation policy
-	trhd       int
-	ms, warmMS float64
-	seed       uint64
-	plan       fault.Plan
-	stall      time.Duration
-	audit      bool
-	reg        *telemetry.Registry
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
+// run is the command: it parses args, runs every simulation and prints
+// the reports to stdout. It returns the exit status: 0 clean, 1 a failed
+// simulation or invalid input, 2 a malformed command line.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mirza-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		workload   = flag.String("workload", "fotonik3d", "workload name or comma-separated list (see -list-workloads)")
-		mitigation = flag.String("mitigation", "mirza", "mitigation policy, name[:key=val,...] (see -list-mitigations)")
-		trhd       = flag.Int("trhd", 1000, "target double-sided Rowhammer threshold")
-		ms         = flag.Float64("ms", 2, "simulated milliseconds")
-		warmMS     = flag.Float64("warmup-ms", 0.5, "warmup before measurement")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		listWl     = flag.Bool("list-workloads", false, "list workloads and exit")
-		listMit    = flag.Bool("list-mitigations", false, "list registered mitigation policies and exit")
-		common     = cliflags.Register(flag.CommandLine)
+		workload = fs.String("workload", "fotonik3d", "workload name or comma-separated list (see -list-workloads)")
+		ms       = fs.Float64("ms", 2, "simulated milliseconds")
+		warmMS   = fs.Float64("warmup-ms", 0.5, "warmup before measurement")
+		listWl   = fs.Bool("list-workloads", false, "list workloads and exit")
+		mit      = cliflags.RegisterMitigation(fs)
+		common   = cliflags.Register(fs)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "mirza-sim:", err)
+		return code
+	}
 
 	shared, err := common.Resolve()
 	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 
 	if *listWl {
 		for _, w := range trace.Workloads() {
-			fmt.Printf("%-10s %-4s MPKI=%-5.1f ACT-PKI=%-5.1f footprint=%dMB\n",
+			fmt.Fprintf(stdout, "%-10s %-4s MPKI=%-5.1f ACT-PKI=%-5.1f footprint=%dMB\n",
 				w.Name, w.Suite, w.MPKI, w.ACTPKI, w.FootprintMB)
 		}
-		return
+		return 0
 	}
-	if *listMit {
-		listMitigations()
-		return
+	if mit.Listed(stdout) {
+		return 0
+	}
+	if !(*ms > 0) || math.IsInf(*ms, 0) {
+		return fail(2, fmt.Errorf("-ms: measured window must be a positive number of milliseconds, got %v", *ms))
+	}
+	if !(*warmMS >= 0) || math.IsInf(*warmMS, 0) {
+		return fail(2, fmt.Errorf("-warmup-ms: warmup must be a non-negative number of milliseconds, got %v", *warmMS))
 	}
 
-	name, overrides, err := cliflags.ParseMitigation(*mitigation)
+	built, err := mit.Build()
 	if err != nil {
-		fatal(err)
-	}
-	built, err := track.Build(name, overrides, track.Config{
-		Geometry: dram.Default(),
-		Mapping:  dram.StridedR2SA,
-		TRHD:     *trhd,
-		Seed:     *seed,
-	})
-	if err != nil {
-		fatal(err)
+		return fail(1, err)
 	}
 
 	var reg *telemetry.Registry
 	if shared.MetricsPath != "" {
 		reg = telemetry.New()
 	}
-	cfg := runConfig{
-		built:  built,
-		trhd:   *trhd,
-		ms:     *ms,
-		warmMS: *warmMS,
-		seed:   *seed,
-		plan:   shared.Faults,
-		stall:  shared.StallBudget,
-		audit:  shared.Audit,
-		reg:    reg,
+	opts := experiments.Options{
+		Warmup:      dram.Time(*warmMS * float64(dram.Millisecond)),
+		Measure:     dram.Time(*ms * float64(dram.Millisecond)),
+		Faults:      shared.Faults,
+		StallBudget: shared.StallBudget,
+		Audit:       shared.Audit,
+		Telemetry:   reg,
 	}
 
 	// The three input modes are mutually exclusive: an explicit -workload
 	// next to -trace or -tenants is almost certainly a confused invocation,
 	// so it fails instead of silently ignoring one of them.
 	workloadSet := false
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "workload" {
 			workloadSet = true
 		}
 	})
 	if len(shared.TraceFiles) > 0 && shared.Tenants != "" {
-		fatal(fmt.Errorf("-trace and -tenants are mutually exclusive"))
+		return fail(1, fmt.Errorf("-trace and -tenants are mutually exclusive"))
 	}
 	if workloadSet && (len(shared.TraceFiles) > 0 || shared.Tenants != "") {
-		fatal(fmt.Errorf("-workload cannot be combined with -trace or -tenants"))
+		return fail(1, fmt.Errorf("-workload cannot be combined with -trace or -tenants"))
+	}
+
+	// simulate runs one input under the selected policy and renders its
+	// report. Everything it touches — generators, trackers, the fault log —
+	// is job-local, so concurrent calls never share state.
+	simulate := func(ctx context.Context, load func() (input, error)) (string, error) {
+		in, err := load()
+		if err != nil {
+			return "", err
+		}
+		faultLog := fault.NewLog()
+		m := in.machine
+		m.Timing, m.RFMBAT, m.NewMitigator = built.Timing(), built.RFMBAT(), built.Factory()
+		sys, err := experiments.Simulate(ctx, opts, faultLog, m, in.label)
+		if err != nil {
+			return "", err
+		}
+		var sb strings.Builder
+		in.header(&sb, sys)
+		writeReport(&sb, sys, opts, fmt.Sprintf("%s (TRHD=%d)", built.Name(), mit.TRHD()), faultLog)
+		return sb.String(), nil
 	}
 
 	// Interrupts cancel cooperatively: running simulations stop at their
@@ -153,21 +170,21 @@ func main() {
 
 	start := time.Now()
 	var pool []jobs.Job[string]
+	add := func(id string, load func() (input, error)) {
+		pool = append(pool, jobs.Job[string]{
+			ID:  id,
+			Run: func(ctx context.Context) (string, error) { return simulate(ctx, load) },
+		})
+	}
 	switch {
 	case len(shared.TraceFiles) > 0:
 		for _, path := range shared.TraceFiles {
 			path := path
-			pool = append(pool, jobs.Job[string]{
-				ID:  path,
-				Run: func(ctx context.Context) (string, error) { return runTrace(ctx, path, cfg) },
-			})
+			add(path, func() (input, error) { return traceInput(path) })
 		}
 	case shared.Tenants != "":
 		spec := shared.Tenants
-		pool = append(pool, jobs.Job[string]{
-			ID:  spec,
-			Run: func(ctx context.Context) (string, error) { return runTenants(ctx, spec, cfg) },
-		})
+		add(spec, func() (input, error) { return tenantsInput(spec, mit.Seed()) })
 	default:
 		var names []string
 		for _, n := range strings.Split(*workload, ",") {
@@ -176,14 +193,11 @@ func main() {
 			}
 		}
 		if len(names) == 0 {
-			fatal(fmt.Errorf("no workload named"))
+			return fail(1, fmt.Errorf("no workload named"))
 		}
 		for _, name := range names {
 			name := name
-			pool = append(pool, jobs.Job[string]{
-				ID:  name,
-				Run: func(ctx context.Context) (string, error) { return runOne(ctx, name, cfg) },
-			})
+			add(name, func() (input, error) { return workloadInput(name, mit.Seed()) })
 		}
 	}
 	results := jobs.RunOnCtx(ctx, jobs.NewPool(jobs.Options{
@@ -193,192 +207,142 @@ func main() {
 	exit := 0
 	for i, res := range results {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		if res.Err != nil {
 			exit = 1
 			var se *sim.StallError
 			if errors.As(res.Err, &se) {
-				fmt.Fprintln(os.Stderr, "mirza-sim:", se)
+				fmt.Fprintln(stderr, "mirza-sim:", se)
 				continue
 			}
-			fmt.Fprintln(os.Stderr, "mirza-sim:", res.Err)
+			fmt.Fprintln(stderr, "mirza-sim:", res.Err)
 			continue
 		}
-		fmt.Print(res.Value)
+		fmt.Fprint(stdout, res.Value)
 	}
 	if shared.MetricsPath != "" {
 		m := telemetry.NewManifest("mirza-sim", map[string]string{
 			"workload":   *workload,
 			"trace":      strings.Join(shared.TraceFiles, ","),
 			"tenants":    shared.Tenants,
-			"mitigation": *mitigation,
-			"trhd":       strconv.Itoa(*trhd),
+			"mitigation": mit.Spec(),
+			"trhd":       strconv.Itoa(mit.TRHD()),
 			"ms":         strconv.FormatFloat(*ms, 'g', -1, 64),
 			"warmup-ms":  strconv.FormatFloat(*warmMS, 'g', -1, 64),
 			"j":          strconv.Itoa(shared.Parallelism),
 		})
-		m.Seed = *seed
+		m.Seed = mit.Seed()
 		m.FaultPlan = shared.Faults.String()
 		m.FillFromSnapshot(reg.Snapshot())
 		m.WallClockSeconds = time.Since(start).Seconds()
 		m.WrittenAt = time.Now().UTC().Format(time.RFC3339)
 		if err := m.WriteFile(shared.MetricsPath); err != nil {
-			fmt.Fprintln(os.Stderr, "mirza-sim: writing manifest:", err)
+			fmt.Fprintln(stderr, "mirza-sim: writing manifest:", err)
 			exit = 1
 		}
 	}
-	os.Exit(exit)
+	return exit
 }
 
-// runOne simulates a single workload and returns its formatted report.
-// Everything it touches — trace generators, trackers, the fault log — is
-// job-local, so concurrent runOne calls never share state.
-func runOne(ctx context.Context, workload string, rc runConfig) (string, error) {
-	faultLog := fault.NewLog()
-	spec, err := trace.Lookup(workload)
-	if err != nil {
-		return "", err
-	}
-	gens, err := trace.PerCore(spec, 8, rc.seed)
-	if err != nil {
-		return "", err
-	}
-	sys, warm, err := simulate(ctx, rc, gens, nil, spec.MLPLimit(), "workload", workload, faultLog)
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "workload   : %s (%s)\n", spec.Name, spec.Suite)
-	writeReport(&sb, rc, sys, warm, faultLog)
-	return sb.String(), nil
+// input is the workload side of one simulation: the cores' streams and
+// address spaces, the telemetry label, and the report header.
+type input struct {
+	machine experiments.Machine
+	label   telemetry.Label
+	header  func(sb *strings.Builder, sys *cpu.System)
 }
 
-// runTrace replays one recorded trace file, sharded round-robin over the
-// cores into a single shared address space.
-func runTrace(ctx context.Context, path string, rc runConfig) (string, error) {
-	faultLog := fault.NewLog()
+// workloadInput runs a Table IV workload in rate mode: one private copy
+// per core.
+func workloadInput(name string, seed uint64) (input, error) {
+	spec, err := trace.Lookup(name)
+	if err != nil {
+		return input{}, err
+	}
+	gens, err := trace.PerCore(spec, 8, seed)
+	if err != nil {
+		return input{}, err
+	}
+	return input{
+		machine: experiments.Machine{Gens: gens, MSHR: spec.MLPLimit()},
+		label:   telemetry.L("workload", name),
+		header: func(sb *strings.Builder, _ *cpu.System) {
+			fmt.Fprintf(sb, "workload   : %s (%s)\n", spec.Name, spec.Suite)
+		},
+	}, nil
+}
+
+// traceInput replays one recorded trace file, sharded round-robin over
+// the cores into a single shared address space.
+func traceInput(path string) (input, error) {
 	tr, err := tracefile.Load(path, tracefile.Options{})
 	if err != nil {
-		return "", err
+		return input{}, err
 	}
 	gens, err := tr.PerCore(8)
 	if err != nil {
-		return "", err
+		return input{}, err
 	}
-	// Every shard indexes the recorded stream's one address space.
-	asids := make([]int, len(gens))
-	sys, warm, err := simulate(ctx, rc, gens, asids, 8, "trace", tr.Name, faultLog)
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "trace      : %s (%s, %d ops, sha256 %s)\n",
-		tr.Name, tr.Format, len(tr.Ops), tr.Hash[:16])
-	writeReport(&sb, rc, sys, warm, faultLog)
-	return sb.String(), nil
+	return input{
+		// Every shard indexes the recorded stream's one address space.
+		machine: experiments.Machine{Gens: gens, ASIDs: make([]int, len(gens)), MSHR: 8},
+		label:   telemetry.L("trace", tr.Name),
+		header: func(sb *strings.Builder, _ *cpu.System) {
+			fmt.Fprintf(sb, "trace      : %s (%s, %d ops, sha256 %s)\n",
+				tr.Name, tr.Format, len(tr.Ops), tr.Hash[:16])
+		},
+	}, nil
 }
 
-// runTenants runs a multi-tenant scenario: every VM's cores together on
+// tenantsInput runs a multi-tenant scenario: every VM's cores together on
 // the shared channel, each VM in its own address space. The per-tenant
 // security attribution lives in mirza-bench -exp intervm; this report
 // covers the timing side.
-func runTenants(ctx context.Context, specStr string, rc runConfig) (string, error) {
-	faultLog := fault.NewLog()
+func tenantsInput(specStr string, seed uint64) (input, error) {
 	spec, err := tenant.Parse(specStr)
 	if err != nil {
-		return "", err
+		return input{}, err
 	}
-	gens, asids, err := spec.Generators(rc.seed)
+	gens, asids, err := spec.Generators(seed)
 	if err != nil {
-		return "", err
+		return input{}, err
 	}
 	mshr, err := spec.MLPFor()
 	if err != nil {
-		return "", err
+		return input{}, err
 	}
-	sys, warm, err := simulate(ctx, rc, gens, asids, mshr, "tenants", spec.String(), faultLog)
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "tenants    : %s (%d cores)\n", spec, spec.TotalCores())
-	ipcs := sys.IPCs()
-	for ti, t := range spec.Tenants {
-		var sum float64
-		n := 0
-		for core, owner := range spec.CoreLayout() {
-			if owner == ti {
-				sum += ipcs[core]
-				n++
+	return input{
+		machine: experiments.Machine{Gens: gens, ASIDs: asids, MSHR: mshr},
+		label:   telemetry.L("tenants", spec.String()),
+		header: func(sb *strings.Builder, sys *cpu.System) {
+			fmt.Fprintf(sb, "tenants    : %s (%d cores)\n", spec, spec.TotalCores())
+			ipcs := sys.IPCs()
+			for ti, t := range spec.Tenants {
+				var sum float64
+				n := 0
+				for core, owner := range spec.CoreLayout() {
+					if owner == ti {
+						sum += ipcs[core]
+						n++
+					}
+				}
+				fmt.Fprintf(sb, "  %-14s %d core(s), avg IPC %.3f\n", t.Name, t.Cores, sum/float64(n))
 			}
-		}
-		fmt.Fprintf(&sb, "  %-14s %d core(s), avg IPC %.3f\n", t.Name, t.Cores, sum/float64(n))
-	}
-	writeReport(&sb, rc, sys, warm, faultLog)
-	return sb.String(), nil
-}
-
-// simulate builds the system for the given generator/ASID layout (nil
-// asids = one private address space per core), applies rc's fault plan,
-// watchdog and auditor, and runs the warmup plus measurement window.
-func simulate(ctx context.Context, rc runConfig, gens []trace.Generator, asids []int,
-	mshr int, labelKey, labelVal string, faultLog *fault.Log) (*cpu.System, dram.Time, error) {
-	factory := rc.built.Factory()
-	if !rc.plan.Empty() {
-		inner := factory
-		factory = func(sub int, sink track.Sink) track.Mitigator {
-			return fault.Wrap(rc.plan, inner(sub, sink), uint64(sub), faultLog)
-		}
-	}
-	sys, err := cpu.NewSystem(cpu.SystemConfig{
-		Cores: len(gens),
-		Core:  cpu.CoreConfig{MSHR: mshr},
-		ASIDs: asids,
-		Mem: mem.Config{
-			Timing:       rc.built.Timing(),
-			Mapping:      dram.StridedR2SA,
-			RFMBAT:       rc.built.RFMBAT(),
-			NewMitigator: factory,
-			Telemetry:    rc.reg,
 		},
-	}, gens)
-	if err != nil {
-		return nil, 0, err
-	}
-	var aud *audit.Auditor
-	if rc.audit {
-		aud = audit.ForChannel(sys.Channel)
-	}
-	if rc.stall > 0 {
-		sys.Watchdog = &sim.Watchdog{Budget: rc.stall}
-	}
-	warm := dram.Time(rc.warmMS * float64(dram.Millisecond))
-	horizon := warm + dram.Time(rc.ms*float64(dram.Millisecond))
-	if err := sys.RunCtx(ctx, warm); err != nil {
-		return nil, 0, err
-	}
-	sys.Snapshot()
-	if err := sys.RunCtx(ctx, horizon); err != nil {
-		return nil, 0, err
-	}
-	sys.FlushTelemetry(telemetry.L(labelKey, labelVal))
-	if err := aud.Finish(sys.Channel); err != nil {
-		return nil, 0, fmt.Errorf("%s: protocol audit: %w", labelVal, err)
-	}
-	return sys, warm, nil
+	}, nil
 }
 
 // writeReport appends the statistics block shared by all three modes.
-func writeReport(sb *strings.Builder, rc runConfig, sys *cpu.System, warm dram.Time, faultLog *fault.Log) {
+func writeReport(sb *strings.Builder, sys *cpu.System, opts experiments.Options, policy string, faultLog *fault.Log) {
 	st := sys.MemStats()
 	ipcs := sys.IPCs()
 	var sum float64
 	for _, v := range ipcs {
 		sum += v
 	}
-	fmt.Fprintf(sb, "mitigation : %s (TRHD=%d)\n", rc.built.Name(), rc.trhd)
-	fmt.Fprintf(sb, "window     : %v measured after %v warmup\n", sys.Window(), warm)
+	fmt.Fprintf(sb, "mitigation : %s\n", policy)
+	fmt.Fprintf(sb, "window     : %v measured after %v warmup\n", sys.Window(), opts.Warmup)
 	fmt.Fprintf(sb, "IPC        : avg %.3f per core (%.3f aggregate)\n", sum/float64(len(ipcs)), sum)
 	fmt.Fprintf(sb, "bus util   : %.1f%%\n", sys.BusUtilization())
 	fmt.Fprintf(sb, "reads      : %d   writes: %d\n", st.Reads, st.Writes)
@@ -390,10 +354,10 @@ func writeReport(sb *strings.Builder, rc runConfig, sys *cpu.System, warm dram.T
 		fmt.Fprintf(sb, "refresh pwr: +%.2f%% (victim rows / demand rows)\n",
 			100*float64(st.VictimRows)/float64(st.DemandRefreshRows))
 	}
-	if !rc.plan.Empty() {
-		fmt.Fprintf(sb, "faults     : %s (plan %s)\n", faultLog.Summary(), rc.plan)
+	if !opts.Faults.Empty() {
+		fmt.Fprintf(sb, "faults     : %s (plan %s)\n", faultLog.Summary(), opts.Faults)
 	}
-	if rc.audit {
+	if opts.Audit {
 		fmt.Fprintf(sb, "audit      : clean (0 protocol violations)\n")
 	}
 }
@@ -407,23 +371,4 @@ func actPKI(acts int64, ipcs []float64, window dram.Time) float64 {
 		return 0
 	}
 	return float64(acts) / instr * 1000
-}
-
-// listMitigations prints every registered policy with its tunables.
-func listMitigations() {
-	for _, d := range track.Descriptors() {
-		note := ""
-		if d.Insecure {
-			note = " [no security guarantee]"
-		}
-		fmt.Printf("%-12s %s%s\n", d.Name, d.Doc, note)
-		for _, p := range d.ConfigSchema {
-			fmt.Printf("    %-10s %-6s %s\n", p.Key, p.Kind, p.Doc)
-		}
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mirza-sim:", err)
-	os.Exit(1)
 }

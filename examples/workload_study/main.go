@@ -8,13 +8,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 
 	"mirza/internal/core"
-	"mirza/internal/cpu"
 	"mirza/internal/dram"
-	"mirza/internal/mem"
+	"mirza/internal/experiments"
+	"mirza/internal/telemetry"
 	"mirza/internal/trace"
 	"mirza/internal/track"
 )
@@ -39,26 +40,21 @@ func main() {
 		victims int64
 		demand  int64
 	}
+	opts := experiments.Options{
+		Warmup:  dram.Millisecond / 4,
+		Measure: dram.Time(*ms * float64(dram.Millisecond)),
+	}
 	run := func(name string, timing dram.Timing, factory func(sub int, sink track.Sink) track.Mitigator) result {
 		gens, err := trace.PerCore(spec, 8, 1)
 		if err != nil {
 			panic(err)
 		}
-		sys, err := cpu.NewSystem(cpu.SystemConfig{
-			Core: cpu.CoreConfig{MSHR: spec.MLPLimit()},
-			Mem: mem.Config{
-				Timing:       timing,
-				Mapping:      dram.StridedR2SA,
-				NewMitigator: factory,
-			},
-		}, gens)
+		sys, err := experiments.Simulate(context.Background(), opts, nil, experiments.Machine{
+			Gens: gens, MSHR: spec.MLPLimit(), Timing: timing, NewMitigator: factory,
+		}, telemetry.L("config", name))
 		if err != nil {
 			panic(err)
 		}
-		warm := dram.Millisecond / 4
-		sys.Run(warm)
-		sys.Snapshot()
-		sys.Run(warm + dram.Time(*ms*float64(dram.Millisecond)))
 		var ipc float64
 		for _, v := range sys.IPCs() {
 			ipc += v

@@ -1,22 +1,27 @@
 // Package cliflags registers and validates the command-line flags shared
-// by cmd/mirza-sim and cmd/mirza-bench: the fault-injection plan
-// (-faults), the livelock watchdog budget (-stall-budget), the job-engine
-// worker count (-j), and the telemetry manifest path (-metrics). Keeping
-// the parsing in one place keeps the two binaries' flag semantics — and
-// their error messages for malformed input — identical.
+// by the commands: the fault-injection plan (-faults), the livelock
+// watchdog budget (-stall-budget), the job-engine worker count (-j), and
+// the telemetry manifest path (-metrics) of mirza-sim and mirza-bench
+// (Register), and the mitigation policy flags of mirza-sim and
+// mirza-attack (RegisterMitigation). Keeping the parsing in one place
+// keeps the binaries' flag semantics — and their error messages for
+// malformed input — identical.
 package cliflags
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
+	"mirza/internal/dram"
 	"mirza/internal/fault"
 	"mirza/internal/tenant"
+	"mirza/internal/track"
 )
 
 // DefaultStallBudget is the watchdog budget both commands default to.
@@ -115,6 +120,75 @@ func ParseMitigation(s string) (name string, overrides map[string]string, err er
 		return "", nil, fmt.Errorf("-mitigation %q: expected key=val after %q:", s, name)
 	}
 	return name, overrides, nil
+}
+
+// Mitigation holds the raw values of the mitigation flags shared by
+// mirza-sim and mirza-attack: -mitigation, -trhd, -seed and
+// -list-mitigations.
+type Mitigation struct {
+	spec *string
+	trhd *int
+	seed *uint64
+	list *bool
+}
+
+// RegisterMitigation installs the mitigation flags on fs and returns the
+// handle to read them after fs.Parse.
+func RegisterMitigation(fs *flag.FlagSet) *Mitigation {
+	return &Mitigation{
+		spec: fs.String("mitigation", "mirza", "mitigation policy, name[:key=val,...] (see -list-mitigations)"),
+		trhd: fs.Int("trhd", 1000, "target double-sided Rowhammer threshold"),
+		seed: fs.Uint64("seed", 1, "random seed"),
+		list: fs.Bool("list-mitigations", false, "list registered mitigation policies and exit"),
+	}
+}
+
+// Alias registers name on fs as another spelling of -mitigation.
+func (m *Mitigation) Alias(fs *flag.FlagSet, name string) {
+	fs.StringVar(m.spec, name, *m.spec, "alias for -mitigation")
+}
+
+// Spec returns the -mitigation value as given.
+func (m *Mitigation) Spec() string { return *m.spec }
+
+// TRHD returns the -trhd target threshold.
+func (m *Mitigation) TRHD() int { return *m.trhd }
+
+// Seed returns the -seed value.
+func (m *Mitigation) Seed() uint64 { return *m.seed }
+
+// Listed reports whether -list-mitigations was given, after printing
+// every registered policy and its tunables to w if so.
+func (m *Mitigation) Listed(w io.Writer) bool {
+	if !*m.list {
+		return false
+	}
+	for _, d := range track.Descriptors() {
+		note := ""
+		if d.Insecure {
+			note = " [no security guarantee]"
+		}
+		fmt.Fprintf(w, "%-12s %s%s\n", d.Name, d.Doc, note)
+		for _, p := range d.ConfigSchema {
+			fmt.Fprintf(w, "    %-10s %-6s %s\n", p.Key, p.Kind, p.Doc)
+		}
+	}
+	return true
+}
+
+// Build parses -mitigation and builds the policy from the registry for
+// -trhd and -seed on the default geometry under the strided mapping.
+func (m *Mitigation) Build() (*track.Built, error) {
+	name, overrides, err := ParseMitigation(*m.spec)
+	if err != nil {
+		return nil, err
+	}
+	return track.Build(name, overrides, track.Config{
+		Geometry: dram.Default(),
+		Mapping:  dram.StridedR2SA,
+		TRHD:     *m.trhd,
+		Seed:     *m.seed,
+	})
 }
 
 // ValidateListen validates a -listen address shared by mirza-bench and

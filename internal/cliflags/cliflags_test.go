@@ -1,12 +1,16 @@
 package cliflags
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"mirza/internal/track"
+	_ "mirza/internal/track/policies" // register every mitigation policy
 )
 
 // parse registers the shared flags on a fresh FlagSet, parses args, and
@@ -235,5 +239,66 @@ func TestParseMitigation(t *testing.T) {
 				t.Errorf("ParseMitigation(%q): overrides[%q] = %q, want %q", tc.in, k, got, want)
 			}
 		}
+	}
+}
+
+// parseMitigation registers the mitigation flags (with the -defense
+// alias) on a fresh FlagSet and parses args.
+func parseMitigation(t *testing.T, args ...string) *Mitigation {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	m := RegisterMitigation(fs)
+	m.Alias(fs, "defense")
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("flag parse: %v", err)
+	}
+	return m
+}
+
+func TestMitigationDefaults(t *testing.T) {
+	m := parseMitigation(t)
+	if m.Spec() != "mirza" || m.TRHD() != 1000 || m.Seed() != 1 {
+		t.Errorf("defaults = (%q, %d, %d), want (mirza, 1000, 1)", m.Spec(), m.TRHD(), m.Seed())
+	}
+	var out bytes.Buffer
+	if m.Listed(&out) || out.Len() != 0 {
+		t.Errorf("Listed without -list-mitigations printed %q", out.String())
+	}
+	b, err := m.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Name() != "mirza" {
+		t.Errorf("built %q, want mirza", b.Name())
+	}
+}
+
+func TestMitigationFlags(t *testing.T) {
+	m := parseMitigation(t, "-defense", "prac:ath=400", "-trhd", "500", "-seed", "9")
+	if m.Spec() != "prac:ath=400" || m.TRHD() != 500 || m.Seed() != 9 {
+		t.Errorf("parsed (%q, %d, %d), want (prac:ath=400, 500, 9)", m.Spec(), m.TRHD(), m.Seed())
+	}
+	if b, err := m.Build(); err != nil || b.Name() != "prac" {
+		t.Errorf("Build = %v, %v; want prac", b, err)
+	}
+	for _, spec := range []string{"zilch", "prac:", "prac:nosuchkey=1"} {
+		if _, err := parseMitigation(t, "-mitigation", spec).Build(); err == nil {
+			t.Errorf("Build(%q) succeeded, want an error", spec)
+		}
+	}
+}
+
+func TestListMitigations(t *testing.T) {
+	var out bytes.Buffer
+	if !parseMitigation(t, "-list-mitigations").Listed(&out) {
+		t.Fatal("Listed = false with -list-mitigations")
+	}
+	for _, d := range track.Descriptors() {
+		if !strings.Contains(out.String(), d.Name) {
+			t.Errorf("listing lacks policy %q:\n%s", d.Name, out.String())
+		}
+	}
+	if !strings.Contains(out.String(), "[no security guarantee]") {
+		t.Errorf("listing does not flag the insecure policies:\n%s", out.String())
 	}
 }

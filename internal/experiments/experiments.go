@@ -22,15 +22,12 @@ import (
 	"sync"
 	"time"
 
-	"mirza/internal/audit"
 	"mirza/internal/core"
-	"mirza/internal/cpu"
 	"mirza/internal/dram"
 	"mirza/internal/fault"
 	"mirza/internal/jobs"
 	"mirza/internal/mem"
 	"mirza/internal/replay"
-	"mirza/internal/sim"
 	"mirza/internal/telemetry"
 	"mirza/internal/trace"
 	"mirza/internal/track"
@@ -331,16 +328,6 @@ func (r *Runner) mlpFor(name string) (int, bool) {
 	return m, ok
 }
 
-// watchdog builds a stall watchdog from the options (nil when disabled).
-// Each call returns a fresh instance: watchdogs are armed per job, never
-// shared between concurrently running simulations.
-func (r *Runner) watchdog() *sim.Watchdog {
-	if r.opts.StallBudget <= 0 {
-		return nil
-	}
-	return &sim.Watchdog{Budget: r.opts.StallBudget}
-}
-
 // Exec is the execution context of one job: the shared Runner plus
 // job-isolated state (the fault log). Simulations always run through an
 // Exec so that parallel jobs never share a mutable log or RNG, which is
@@ -402,58 +389,6 @@ type Baseline struct {
 	Window  dram.Time
 }
 
-// timingResult is one protected timing-simulation run.
-type timingResult struct {
-	IPCs   []float64
-	Stats  mem.Stats
-	Window dram.Time
-}
-
-// newSystem builds a full system for spec, with a job-private watchdog.
-func (x *Exec) newSystem(spec trace.WorkloadSpec, timing dram.Timing, bat int,
-	factory func(sub int, sink track.Sink) track.Mitigator) (*cpu.System, error) {
-	r := x.r
-	gens, err := trace.PerCore(spec, r.opts.Cores, r.opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	mlp, ok := r.mlpFor(spec.Name)
-	if !ok {
-		mlp = spec.MLPLimit()
-	}
-	if factory != nil {
-		inner := factory
-		factory = func(sub int, sink track.Sink) track.Mitigator {
-			return x.wrapMit(inner(sub, sink), uint64(sub))
-		}
-	}
-	sys, err := cpu.NewSystem(cpu.SystemConfig{
-		Cores: r.opts.Cores,
-		Core:  cpu.CoreConfig{MSHR: mlp},
-		Mem: mem.Config{
-			Timing:       timing,
-			Mapping:      dram.StridedR2SA,
-			RFMBAT:       bat,
-			NewMitigator: factory,
-			Telemetry:    r.opts.Telemetry,
-		},
-	}, gens)
-	if err != nil {
-		return nil, err
-	}
-	sys.Watchdog = r.watchdog()
-	return sys, nil
-}
-
-// attachAudit installs the protocol auditor on sys's channel when Options
-// .Audit is set; the nil return when disabled is safe to Finish.
-func (r *Runner) attachAudit(sys *cpu.System) *audit.Auditor {
-	if !r.opts.Audit {
-		return nil
-	}
-	return audit.ForChannel(sys.Channel)
-}
-
 // Baseline runs (or returns the cached) unprotected reference for name.
 // Concurrent callers needing the same workload single-flight onto one
 // computation; the computation's RNG streams derive only from (spec,
@@ -486,23 +421,15 @@ func (r *Runner) computeBaseline(name string) (*Baseline, error) {
 	r.calibrations[name]++
 	r.mu.Unlock()
 	r.opts.Logf("baseline %s (%v warmup + %v measure, MLP=%d)", name, r.opts.Warmup, r.opts.Measure, mlp)
-	// Baselines are unprotected (no mitigator), so the throwaway Exec's
-	// fault log can never record anything.
-	sys, err := r.newExec().newSystem(spec, dram.DDR5(), 0, nil)
+	gens, err := trace.PerCore(spec, r.opts.Cores, r.opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	aud := r.attachAudit(sys)
-	if err := sys.RunCtx(r.context(), r.opts.Warmup); err != nil {
-		return nil, fmt.Errorf("baseline %s warmup: %w", name, err)
-	}
-	sys.Snapshot()
-	if err := sys.RunCtx(r.context(), r.opts.Warmup+r.opts.Measure); err != nil {
-		return nil, fmt.Errorf("baseline %s measure: %w", name, err)
-	}
-	sys.FlushTelemetry(telemetry.L("layer", "baseline"))
-	if err := aud.Finish(sys.Channel); err != nil {
-		return nil, fmt.Errorf("baseline %s audit: %w", name, err)
+	// Baselines are unprotected, so no fault is ever injected to log.
+	sys, err := Simulate(r.context(), r.opts, nil, Machine{Gens: gens, MSHR: mlp},
+		telemetry.L("layer", "baseline"))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 
 	b := &Baseline{
@@ -536,30 +463,21 @@ func (r *Runner) calibrateMLP(spec trace.WorkloadSpec) (int, error) {
 		return m, nil
 	}
 	target := spec.ImpliedIPS()
+	// Calibration runs its own windows (a quarter of CalibrationWindow
+	// warms up) and leaves telemetry to the measured runs.
+	o := r.opts
+	o.Warmup = r.opts.CalibrationWindow / 4
+	o.Measure = r.opts.CalibrationWindow - o.Warmup
+	o.Telemetry = nil
 	measure := func(mlp int) (float64, error) {
 		gens, err := trace.PerCore(spec, r.opts.Cores, r.opts.Seed+99)
 		if err != nil {
 			return 0, err
 		}
-		sys, err := cpu.NewSystem(cpu.SystemConfig{
-			Cores: r.opts.Cores,
-			Core:  cpu.CoreConfig{MSHR: mlp},
-			Mem:   mem.Config{Mapping: dram.StridedR2SA},
-		}, gens)
+		sys, err := Simulate(r.context(), o, nil, Machine{Gens: gens, MSHR: mlp},
+			telemetry.L("layer", "calibration"))
 		if err != nil {
-			return 0, err
-		}
-		sys.Watchdog = r.watchdog()
-		aud := r.attachAudit(sys)
-		if err := sys.RunCtx(r.context(), r.opts.CalibrationWindow/4); err != nil {
-			return 0, fmt.Errorf("calibration %s: %w", spec.Name, err)
-		}
-		sys.Snapshot()
-		if err := sys.RunCtx(r.context(), r.opts.CalibrationWindow); err != nil {
-			return 0, fmt.Errorf("calibration %s: %w", spec.Name, err)
-		}
-		if err := aud.Finish(sys.Channel); err != nil {
-			return 0, fmt.Errorf("calibration %s audit: %w", spec.Name, err)
+			return 0, fmt.Errorf("%s: %w", spec.Name, err)
 		}
 		var ips float64
 		for _, ipc := range sys.IPCs() {
@@ -609,30 +527,28 @@ func abs64(v float64) float64 {
 	return v
 }
 
-// runTiming executes a protected timing simulation for workload name.
+// runTiming executes a protected timing simulation for workload name: its
+// rate-mode copies at the calibrated MSHR budget.
 func (x *Exec) runTiming(name string, timing dram.Timing, bat int,
 	factory func(sub int, sink track.Sink) track.Mitigator) (*timingResult, error) {
+	r := x.r
 	spec, err := trace.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := x.newSystem(spec, timing, bat, factory)
+	gens, err := trace.PerCore(spec, r.opts.Cores, r.opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	aud := x.r.attachAudit(sys)
-	if err := sys.RunCtx(x.context(), x.r.opts.Warmup); err != nil {
-		return nil, fmt.Errorf("timing %s warmup: %w", name, err)
+	mlp, ok := r.mlpFor(spec.Name)
+	if !ok {
+		mlp = spec.MLPLimit()
 	}
-	sys.Snapshot()
-	if err := sys.RunCtx(x.context(), x.r.opts.Warmup+x.r.opts.Measure); err != nil {
-		return nil, fmt.Errorf("timing %s measure: %w", name, err)
+	res, err := x.simulate(Machine{Gens: gens, MSHR: mlp, Timing: timing, RFMBAT: bat, NewMitigator: factory}, "timing")
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	sys.FlushTelemetry(telemetry.L("layer", "timing"))
-	if err := aud.Finish(sys.Channel); err != nil {
-		return nil, fmt.Errorf("timing %s audit: %w", name, err)
-	}
-	return &timingResult{IPCs: sys.IPCs(), Stats: sys.MemStats(), Window: sys.Window()}, nil
+	return res, nil
 }
 
 // slowdownVs returns the percent slowdown of res against the baseline:

@@ -3,13 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"mirza/internal/cpu"
 	"mirza/internal/dram"
 	"mirza/internal/mem"
-	"mirza/internal/telemetry"
 	"mirza/internal/tenant"
 	"mirza/internal/track"
-	"mirza/internal/trace"
 )
 
 // intervmPolicies is the default mitigation grid of the inter-VM study:
@@ -66,7 +63,7 @@ func (r *Runner) InterVM() (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				return x.runTenantTiming(gens, asids, mshr, dram.DDR5(), 0, nil)
+				return x.simulate(Machine{Gens: gens, ASIDs: asids, MSHR: mshr}, "intervm")
 			},
 		})
 	}
@@ -106,7 +103,8 @@ func (r *Runner) InterVM() (*Table, error) {
 				if err != nil {
 					return cell{}, err
 				}
-				res, err := x.runTenantTiming(gens, asids, mshr, b.Timing(), b.RFMBAT(), b.Factory())
+				res, err := x.simulate(Machine{Gens: gens, ASIDs: asids, MSHR: mshr,
+					Timing: b.Timing(), RFMBAT: b.RFMBAT(), NewMitigator: b.Factory()}, "intervm")
 				if err != nil {
 					return cell{}, err
 				}
@@ -189,48 +187,4 @@ func tenantSlowdown(layout []int, ti int, solo, shared []float64) float64 {
 		return 0
 	}
 	return 100 * (1 - ws/float64(n))
-}
-
-// runTenantTiming is runTiming for an explicit generator/ASID layout: the
-// shared multi-VM system (or one VM alone) instead of a named workload's
-// rate-mode copies.
-func (x *Exec) runTenantTiming(gens []trace.Generator, asids []int, mshr int,
-	timing dram.Timing, bat int,
-	factory func(sub int, sink track.Sink) track.Mitigator) (*timingResult, error) {
-	r := x.r
-	if factory != nil {
-		inner := factory
-		factory = func(sub int, sink track.Sink) track.Mitigator {
-			return x.wrapMit(inner(sub, sink), uint64(sub))
-		}
-	}
-	sys, err := cpu.NewSystem(cpu.SystemConfig{
-		Cores: len(gens),
-		Core:  cpu.CoreConfig{MSHR: mshr},
-		ASIDs: asids,
-		Mem: mem.Config{
-			Timing:       timing,
-			Mapping:      dram.StridedR2SA,
-			RFMBAT:       bat,
-			NewMitigator: factory,
-			Telemetry:    r.opts.Telemetry,
-		},
-	}, gens)
-	if err != nil {
-		return nil, err
-	}
-	sys.Watchdog = r.watchdog()
-	aud := r.attachAudit(sys)
-	if err := sys.RunCtx(x.context(), r.opts.Warmup); err != nil {
-		return nil, fmt.Errorf("intervm warmup: %w", err)
-	}
-	sys.Snapshot()
-	if err := sys.RunCtx(x.context(), r.opts.Warmup+r.opts.Measure); err != nil {
-		return nil, fmt.Errorf("intervm measure: %w", err)
-	}
-	sys.FlushTelemetry(telemetry.L("layer", "intervm"))
-	if err := aud.Finish(sys.Channel); err != nil {
-		return nil, fmt.Errorf("intervm audit: %w", err)
-	}
-	return &timingResult{IPCs: sys.IPCs(), Stats: sys.MemStats(), Window: sys.Window()}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mirza/internal/fault"
+	"mirza/internal/telemetry"
 )
 
 // renderExperiment runs one experiment on a fresh Runner and returns the
@@ -47,13 +48,10 @@ func TestInterVMDeterminism(t *testing.T) {
 	}
 }
 
-// TestTraceReplayDeterminism: the same trace file replayed twice (and at
-// -j 1 vs -j 8) renders byte-identically, and with no traces configured
-// the experiment degrades to an informational table instead of failing.
-func TestTraceReplayDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full simulations")
-	}
+// loopTrace writes a small DRAMSim3 trace to a temporary file and returns
+// its path.
+func loopTrace(t *testing.T) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "loop.trace")
 	var body strings.Builder
 	for i := 0; i < 64; i++ {
@@ -67,10 +65,51 @@ func TestTraceReplayDeterminism(t *testing.T) {
 	if err := os.WriteFile(path, []byte(body.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
 
+// TestSimulationLayerLabels: each experiment's timing runs flush their
+// telemetry under the experiment's own layer label — tracereplay's under
+// layer=tracereplay, not the inter-VM study's.
+func TestSimulationLayerLabels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full simulations")
+	}
+	for _, tc := range []struct {
+		id    string
+		setup func(*Options)
+	}{
+		{"tracereplay", func(o *Options) { o.Cores = 4; o.TraceFiles = []string{loopTrace(t)} }},
+		{"intervm", func(o *Options) { o.Tenants = "xz:1+attack=edge:1" }},
+	} {
+		reg := telemetry.New()
+		opts := goldenOptions(nil, fault.Plan{})
+		opts.Mitigations = []string{"prac"}
+		opts.Telemetry = reg
+		tc.setup(&opts)
+		renderExperiment(t, tc.id, opts)
+		layers := map[string]int64{}
+		for _, c := range reg.Snapshot().Counters {
+			if c.Name == "sim_time_total_ps" {
+				layers[c.Labels["layer"]] += c.Value
+			}
+		}
+		if len(layers) != 1 || layers[tc.id] == 0 {
+			t.Errorf("%s: simulated time by layer label = %v, want all under layer=%s", tc.id, layers, tc.id)
+		}
+	}
+}
+
+// TestTraceReplayDeterminism: the same trace file replayed twice (and at
+// -j 1 vs -j 8) renders byte-identically, and with no traces configured
+// the experiment degrades to an informational table instead of failing.
+func TestTraceReplayDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full simulations")
+	}
 	opts := goldenOptions(nil, fault.Plan{})
 	opts.Cores = 4
-	opts.TraceFiles = []string{path}
+	opts.TraceFiles = []string{loopTrace(t)}
 	opts.Mitigations = []string{"none", "prac"}
 	seq := renderExperiment(t, "tracereplay", opts)
 

@@ -80,8 +80,8 @@ func (r *Runner) TraceReplay() (*Table, error) {
 					// Every shard indexes the recorded stream's single
 					// address space.
 					asids := make([]int, len(gens))
-					res, err := x.runTenantTiming(gens, asids, tracereplayMSHR,
-						b.Timing(), b.RFMBAT(), b.Factory())
+					res, err := x.simulate(Machine{Gens: gens, ASIDs: asids, MSHR: tracereplayMSHR,
+						Timing: b.Timing(), RFMBAT: b.RFMBAT(), NewMitigator: b.Factory()}, "tracereplay")
 					if err != nil {
 						return cell{}, err
 					}

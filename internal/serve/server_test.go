@@ -194,8 +194,8 @@ func TestBackpressureShedsWith429(t *testing.T) {
 		t.Fatal("job never started")
 	}
 	// ...two more fill the queue...
-	submit(t, ts, `{"experiment":"blocked","seed":2}`, false)
-	submit(t, ts, `{"experiment":"blocked","seed":3}`, false)
+	_, doc2, _ := submit(t, ts, `{"experiment":"blocked","seed":2}`, false)
+	_, doc3, _ := submit(t, ts, `{"experiment":"blocked","seed":3}`, false)
 	// Regression: with sub-second jobs the EWMA wall-clock is tiny; the
 	// Retry-After computed from it must still clamp to >= 1 second, or
 	// shed clients retry immediately and re-shed in a tight loop.
@@ -225,15 +225,20 @@ func TestBackpressureShedsWith429(t *testing.T) {
 	}
 
 	close(release)
-	// Everything admitted completes; readiness recovers.
+	// Everything admitted completes; readiness recovers. Readiness is
+	// only asserted once all three admitted jobs are done: right after the
+	// first completes the worker may not have dequeued the next, and the
+	// queue still reads full.
 	deadline := time.Now().Add(2 * time.Second)
-	for {
-		code, _, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+doc1["id"].(string)+"?wait=1", "")
-		if code == http.StatusOK {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("blocked jobs never completed after release")
+	for _, doc := range []map[string]any{doc1, doc2, doc3} {
+		for {
+			code, _, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+doc["id"].(string)+"?wait=1", "")
+			if code == http.StatusOK {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("admitted job %v never completed after release", doc["id"])
+			}
 		}
 	}
 	if rcode, _, _ := doJSON(t, http.MethodGet, ts.URL+"/readyz", ""); rcode != http.StatusOK {

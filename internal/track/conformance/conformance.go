@@ -16,11 +16,9 @@ import (
 	"fmt"
 
 	"mirza/internal/attack"
-	"mirza/internal/audit"
-	"mirza/internal/cpu"
 	"mirza/internal/dram"
+	"mirza/internal/experiments"
 	"mirza/internal/fault"
-	"mirza/internal/mem"
 	"mirza/internal/telemetry"
 	"mirza/internal/trace"
 	"mirza/internal/track"
@@ -294,10 +292,12 @@ func checkStats(b *track.Built, opt Options) (out []Violation) {
 	return out
 }
 
-// checkAudit runs a short full-system simulation (the same path mirza-sim
-// takes) with the PR 5 protocol auditor attached and requires a clean
-// audit: every mitigation the policy reports must reconcile with the
-// channel-side command stream and DDR5 timing books.
+// checkAudit runs a short full-system simulation through
+// experiments.Simulate — the one path every timing result takes,
+// mirza-sim's and mirza-bench's included — with the protocol auditor
+// attached and no warmup, and requires a clean audit: every mitigation the
+// policy reports must reconcile with the channel-side command stream and
+// DDR5 timing books.
 func checkAudit(b *track.Built, opt Options) (out []Violation) {
 	guard(b.Name(), "audit", &out, func() {
 		spec, err := trace.Lookup("fotonik3d")
@@ -310,26 +310,12 @@ func checkAudit(b *track.Built, opt Options) (out []Violation) {
 			out = append(out, Violation{Policy: b.Name(), Check: "audit", Detail: err.Error()})
 			return
 		}
-		sys, err := cpu.NewSystem(cpu.SystemConfig{
-			Core: cpu.CoreConfig{MSHR: spec.MLPLimit()},
-			Mem: mem.Config{
-				Timing:       b.Timing(),
-				Mapping:      dram.StridedR2SA,
-				RFMBAT:       b.RFMBAT(),
-				NewMitigator: b.Factory(),
-			},
-		}, gens)
+		_, err = experiments.Simulate(context.Background(),
+			experiments.Options{Measure: dram.Time(0.2 * float64(dram.Millisecond)), Audit: true},
+			nil, experiments.Machine{Gens: gens, MSHR: spec.MLPLimit(),
+				Timing: b.Timing(), RFMBAT: b.RFMBAT(), NewMitigator: b.Factory()},
+			telemetry.L("policy", b.Name()))
 		if err != nil {
-			out = append(out, Violation{Policy: b.Name(), Check: "audit", Detail: err.Error()})
-			return
-		}
-		aud := audit.ForChannel(sys.Channel)
-		horizon := dram.Time(0.2 * float64(dram.Millisecond))
-		if err := sys.RunCtx(context.Background(), horizon); err != nil {
-			out = append(out, Violation{Policy: b.Name(), Check: "audit", Detail: "run: " + err.Error()})
-			return
-		}
-		if err := aud.Finish(sys.Channel); err != nil {
 			out = append(out, Violation{Policy: b.Name(), Check: "audit", Detail: err.Error()})
 		}
 	})
