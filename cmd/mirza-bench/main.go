@@ -36,11 +36,37 @@ import (
 	"time"
 
 	"mirza/internal/cliflags"
-	"mirza/internal/dram"
 	"mirza/internal/experiments"
 	"mirza/internal/serve"
 	"mirza/internal/telemetry"
 )
+
+// scaleWindows applies the -measure-ms, -warmup-ms and -replay-windows
+// overrides to opts. A zero keeps the default; any other value must pass
+// the shared window checks.
+func scaleWindows(opts experiments.Options, measureMS, warmupMS float64, windows int) (experiments.Options, error) {
+	measure, err := cliflags.WindowMS("measure-ms", measureMS, true)
+	if err != nil {
+		return opts, err
+	}
+	warmup, err := cliflags.WindowMS("warmup-ms", warmupMS, true)
+	if err != nil {
+		return opts, err
+	}
+	if err := cliflags.ReplayWindows(windows); err != nil {
+		return opts, err
+	}
+	if measure > 0 {
+		opts.Measure = measure
+	}
+	if warmup > 0 {
+		opts.Warmup = warmup
+	}
+	if windows > 0 {
+		opts.ReplayWindows = windows
+	}
+	return opts, nil
+}
 
 func main() {
 	var (
@@ -82,14 +108,9 @@ func main() {
 	if *quick {
 		opts = opts.Quick()
 	}
-	if *measureMS > 0 {
-		opts.Measure = dram.Time(*measureMS * float64(dram.Millisecond))
-	}
-	if *warmupMS > 0 {
-		opts.Warmup = dram.Time(*warmupMS * float64(dram.Millisecond))
-	}
-	if *windows >= 2 {
-		opts.ReplayWindows = *windows
+	if opts, err = scaleWindows(opts, *measureMS, *warmupMS, *windows); err != nil {
+		fmt.Fprintln(os.Stderr, "mirza-bench:", err)
+		os.Exit(2)
 	}
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")

@@ -36,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -101,11 +100,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if mit.Listed(stdout) {
 		return 0
 	}
-	if !(*ms > 0) || math.IsInf(*ms, 0) {
-		return fail(2, fmt.Errorf("-ms: measured window must be a positive number of milliseconds, got %v", *ms))
+	measure, err := cliflags.WindowMS("ms", *ms, false)
+	if err != nil {
+		return fail(2, err)
 	}
-	if !(*warmMS >= 0) || math.IsInf(*warmMS, 0) {
-		return fail(2, fmt.Errorf("-warmup-ms: warmup must be a non-negative number of milliseconds, got %v", *warmMS))
+	warmup, err := cliflags.WindowMS("warmup-ms", *warmMS, true)
+	if err != nil {
+		return fail(2, err)
 	}
 
 	built, err := mit.Build()
@@ -118,8 +119,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reg = telemetry.New()
 	}
 	opts := experiments.Options{
-		Warmup:      dram.Time(*warmMS * float64(dram.Millisecond)),
-		Measure:     dram.Time(*ms * float64(dram.Millisecond)),
+		Warmup:      warmup,
+		Measure:     measure,
 		Faults:      shared.Faults,
 		StallBudget: shared.StallBudget,
 		Audit:       shared.Audit,

@@ -2,7 +2,8 @@
 // by the commands: the fault-injection plan (-faults), the livelock
 // watchdog budget (-stall-budget), the job-engine worker count (-j), and
 // the telemetry manifest path (-metrics) of mirza-sim and mirza-bench
-// (Register), and the mitigation policy flags of mirza-sim and
+// (Register), their simulated-time window flags (WindowMS,
+// ReplayWindows), and the mitigation policy flags of mirza-sim and
 // mirza-attack (RegisterMitigation). Keeping the parsing in one place
 // keeps the binaries' flag semantics — and their error messages for
 // malformed input — identical.
@@ -12,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"strconv"
@@ -189,6 +191,37 @@ func (m *Mitigation) Build() (*track.Built, error) {
 		TRHD:     *m.trhd,
 		Seed:     *m.seed,
 	})
+}
+
+// WindowMS validates a simulated-time window flag given in milliseconds
+// (-ms, -measure-ms, -warmup-ms) and converts it to simulated time. The
+// value must be finite, not negative and representable in picoseconds. A
+// zero is accepted only when zeroOK — mirza-sim's -warmup-ms 0 means no
+// warmup and mirza-bench reads 0 as "the default" — and a positive value
+// must not round down to zero.
+func WindowMS(name string, ms float64, zeroOK bool) (dram.Time, error) {
+	want := "a finite, positive"
+	if zeroOK {
+		want = "a finite, non-negative"
+	}
+	if !(ms >= 0) || ms > float64(math.MaxInt64)/float64(dram.Millisecond) || (ms == 0 && !zeroOK) {
+		return 0, fmt.Errorf("-%s: window must be %s number of milliseconds, got %v", name, want, ms)
+	}
+	t := dram.Time(ms * float64(dram.Millisecond))
+	if ms > 0 && t == 0 {
+		return 0, fmt.Errorf("-%s: %v ms is shorter than a picosecond", name, ms)
+	}
+	return t, nil
+}
+
+// ReplayWindows validates a -replay-windows count: 0 selects the default,
+// and an explicit count must cover the warmup window plus at least one
+// measured window.
+func ReplayWindows(n int) error {
+	if n != 0 && n < 2 {
+		return fmt.Errorf("-replay-windows: want 0 (default) or at least 2 tREFW windows, got %d", n)
+	}
+	return nil
 }
 
 // ValidateListen validates a -listen address shared by mirza-bench and

@@ -3,12 +3,14 @@ package cliflags
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"mirza/internal/dram"
 	"mirza/internal/track"
 	_ "mirza/internal/track/policies" // register every mitigation policy
 )
@@ -140,6 +142,55 @@ func TestBadValues(t *testing.T) {
 	}
 	if _, err := parse(t, "-stall-budget", "-5s"); err == nil || !strings.Contains(err.Error(), "-stall-budget") {
 		t.Errorf("negative -stall-budget: err = %v, want an error naming the flag", err)
+	}
+}
+
+func TestWindowMS(t *testing.T) {
+	huge := float64(math.MaxInt64) / float64(dram.Millisecond) * 2
+	tests := []struct {
+		ms     float64
+		zeroOK bool
+		want   dram.Time
+		ok     bool
+	}{
+		{0.5, false, 500 * dram.Microsecond, true},
+		{2, true, 2 * dram.Millisecond, true},
+		{0, true, 0, true},
+		{0, false, 0, false},
+		{-1, true, 0, false},
+		{-1, false, 0, false},
+		{math.NaN(), true, 0, false},
+		{math.Inf(1), true, 0, false},
+		{math.Inf(-1), true, 0, false},
+		{huge, true, 0, false},
+		{1e-12, true, 0, false}, // rounds to zero picoseconds
+	}
+	for _, tc := range tests {
+		got, err := WindowMS("measure-ms", tc.ms, tc.zeroOK)
+		if (err == nil) != tc.ok {
+			t.Errorf("WindowMS(%v, zeroOK=%v) err = %v, want ok=%v", tc.ms, tc.zeroOK, err, tc.ok)
+			continue
+		}
+		if err != nil && !strings.Contains(err.Error(), "-measure-ms") {
+			t.Errorf("WindowMS(%v): error %v does not name the flag", tc.ms, err)
+		}
+		if got != tc.want {
+			t.Errorf("WindowMS(%v, zeroOK=%v) = %v, want %v", tc.ms, tc.zeroOK, got, tc.want)
+		}
+	}
+}
+
+func TestReplayWindows(t *testing.T) {
+	for _, tc := range []struct {
+		n  int
+		ok bool
+	}{{0, true}, {2, true}, {16, true}, {1, false}, {-1, false}, {-3, false}} {
+		err := ReplayWindows(tc.n)
+		if (err == nil) != tc.ok {
+			t.Errorf("ReplayWindows(%d) err = %v, want ok=%v", tc.n, err, tc.ok)
+		} else if err != nil && !strings.Contains(err.Error(), "-replay-windows") {
+			t.Errorf("ReplayWindows(%d): error %v does not name the flag", tc.n, err)
+		}
 	}
 }
 

@@ -343,6 +343,52 @@ func TestDifferentialPostedWriteResubmit(t *testing.T) {
 	}
 }
 
+// TestDifferentialBacklogSlideIn keeps the backlog deeper than a shallow
+// window: bursts of 8 requests over 3 banks × 2 rows, about a quarter of
+// them posted writes, arrive faster than sub-channel 0 drains them. Each
+// column issue then slides the oldest overflow entry into the window, and
+// with so few rows it is often a row hit, so the wake time must account
+// for hits that entered the window during the scan that armed it.
+func TestDifferentialBacklogSlideIn(t *testing.T) {
+	for _, depth := range []int{2, 3, 4} {
+		for seed := uint64(1); seed <= 40; seed++ {
+			cfg := Config{WindowDepth: depth}
+			deep := false
+			_, st, _ := requireSameStream(t, cfg, 30*dram.Microsecond, func(k *sim.Kernel, ch submitter) {
+				burstFeed(k, ch, seed, 40, 60*dram.Nanosecond, func() {
+					deep = deep || ch.PendingRequests() > depth
+				})
+			})
+			if t.Failed() {
+				t.Fatalf("window %d, seed %d diverged", depth, seed)
+			}
+			if !deep || st.Writes == 0 || st.Reads+st.Writes != 40*8 {
+				t.Fatalf("window %d, seed %d: backlog deeper than the window %v, stats %+v", depth, seed, deep, st)
+			}
+		}
+	}
+}
+
+// burstFeed submits n bursts of 8 requests to sub-channel 0 over banks
+// 0–2 and two rows, a quarter of them writes, one burst every gap plus
+// up to gap of jitter. probe runs after each burst.
+func burstFeed(k *sim.Kernel, ch submitter, seed uint64, n int, gap dram.Time, probe func()) {
+	g := ch.Geometry()
+	rng := stats.NewRNG(seed)
+	ev := &sim.Event{}
+	ev.Bind(sim.HandlerFunc(func(now dram.Time) {
+		for i := 0; i < 8; i++ {
+			a := dram.Address{Bank: rng.Intn(3), Row: 100 + rng.Intn(2), Col: rng.Intn(16)}
+			ch.Submit(&Request{Addr: g.Compose(a), Write: rng.Intn(4) == 0, Done: func(dram.Time) {}})
+		}
+		probe()
+		if n--; n > 0 {
+			k.ScheduleEvent(ev, now+gap+dram.Time(rng.Int63n(int64(gap))))
+		}
+	}))
+	k.ScheduleEvent(ev, 0)
+}
+
 // TestDifferentialFusedInstant scripts one picosecond at which a single
 // scan issues a column, a conflict precharge and an activate. Bank 1
 // opens at 0 and bank 0 at tRRD; at tRAS a hit on bank 0, a conflict on

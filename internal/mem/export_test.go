@@ -1,6 +1,6 @@
 package mem
 
-// ScanTotals sums the window traversals and scanning wakes of every
+// ScanTotals sums the window scans and scanning wakes of every
 // sub-channel. Tests only: the counters are not telemetry.
 func (ch *Channel) ScanTotals() (scans, scanWakes int64) {
 	for _, s := range ch.subs {

@@ -328,7 +328,7 @@ func (ch *Channel) FlushTelemetry(extra ...telemetry.Label) {
 func (ch *Channel) PendingRequests() int {
 	n := 0
 	for _, s := range ch.subs {
-		n += len(s.queue)
+		n += s.PendingRequests()
 	}
 	return n
 }

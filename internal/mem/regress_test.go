@@ -47,11 +47,13 @@ func TestWideBankGeometry(t *testing.T) {
 	}
 }
 
-// TestDequeueReleasesQueueSlot verifies the FR-FCFS dequeue nils the vacated
-// backing-array slot so a retired *Request is not pinned by the queue's spare
-// capacity until a later enqueue happens to overwrite it.
+// TestDequeueReleasesQueueSlot verifies that retiring a request clears
+// every slot that held it — its window slot and the overflow ring slot it
+// waited in — so a retired *Request is not pinned by the sub-channel's
+// storage until a later enqueue happens to overwrite it. The window is
+// shallow so most requests pass through the overflow ring first.
 func TestDequeueReleasesQueueSlot(t *testing.T) {
-	k, ch := newTestChannel(t, Config{})
+	k, ch := newTestChannel(t, Config{WindowDepth: 4})
 	var done [16]dram.Time
 	for i := range done {
 		i := i
@@ -65,15 +67,22 @@ func TestDequeueReleasesQueueSlot(t *testing.T) {
 		}
 	}
 	for _, s := range ch.subs {
-		if len(s.queue) != 0 {
-			t.Fatalf("sub %d: %d requests still queued", s.id, len(s.queue))
+		if n := s.PendingRequests(); n != 0 {
+			t.Fatalf("sub %d: %d requests still queued", s.id, n)
 		}
-		spare := s.queue[:cap(s.queue)]
-		for i, r := range spare {
-			if r != nil {
-				t.Errorf("sub %d: vacated queue slot %d still references a request", s.id, i)
+		for i, e := range s.slots {
+			if e.r != nil {
+				t.Errorf("sub %d: vacated window slot %d still references a request", s.id, i)
 			}
 		}
+		for i, r := range s.overflow.buf {
+			if r != nil {
+				t.Errorf("sub %d: vacated overflow slot %d still references a request", s.id, i)
+			}
+		}
+	}
+	if len(ch.subs[0].overflow.buf) == 0 {
+		t.Error("no request waited in the overflow ring")
 	}
 }
 

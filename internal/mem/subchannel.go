@@ -45,19 +45,24 @@ type SubChannel struct {
 	rfmPending dram.BankSet // banks owing a proactive RFM before their next ACT
 	rfmCount   int          // popcount of rfmPending, kept for O(1) emptiness
 
-	// bankBit[b] is 1<<b for banks below 64 and 0 above: the per-bank
-	// dedup-mask bit, computed once per request at submit.
-	bankBit []uint64
+	// The scheduling window (DESIGN.md §21) is the oldest WindowDepth
+	// queued requests. They sit in a fixed slot array, linked per bank in
+	// age order (bankHead/bankTail, -1 when the bank has none); free slots
+	// chain through next from freeSlot. Younger requests wait in overflow,
+	// oldest first, and a column issue slides the oldest one in, so the
+	// window has room only while overflow is empty.
+	slots              []winSlot
+	freeSlot           int32
+	bankHead, bankTail []int32
+	inWindow           int
+	overflow           reqRing
+	nextEnq            int64
 
-	queue []*Request
-	// qKey and qBit mirror queue[i] into flat per-entry words — the
-	// packed (row, bank) key (row<<32|bank) and the bank's dedup-mask
-	// bit — so the scheduling scan streams two sequential slices
-	// instead of chasing *Request pointers or random-indexing a
-	// per-bank table.
-	qKey    []uint64
-	qBit    []uint64
-	nextEnq int64
+	// queued, hitSet and confSet index the window by bank: banks with a
+	// window entry, and open banks with a window entry that hits
+	// (conflicts with) the open row. They are kept current as requests
+	// enter and leave the window and as banks activate and precharge.
+	queued, hitSet, confSet dram.BankSet
 
 	faw       []dram.Time // times of the last 4 ACTs (ring)
 	fawIdx    int
@@ -95,17 +100,12 @@ type SubChannel struct {
 	wakes int64 // kernel wakes delivered (mem_wakes_total)
 	steps int64 // step transitions across all wakes (mem_wake_steps_total)
 
-	// scans counts window traversals and scanWakes the wakes that ran the
+	// scans counts window scans and scanWakes the wakes that ran the
 	// priority chain (every wake but an arrival-coalescing one). They
 	// describe how the scheduler works, not what it did, so they are
-	// never flushed to telemetry; tests read them to pin one traversal
-	// per scanning wake.
+	// never flushed to telemetry; tests read them to pin one scan per
+	// scanning wake.
 	scans, scanWakes int64
-
-	// hitSet/confSet classify banks against the current scheduling window
-	// (pending row hit / pending row conflict). They are rebuilt per scan;
-	// resetting costs one word write per 64 banks.
-	hitSet, confSet dram.BankSet
 
 	// obs, when non-nil, shadows every command the sub-channel issues
 	// (protocol auditing, test instrumentation). Each command site pays
@@ -134,6 +134,10 @@ func newSubChannel(k *sim.Kernel, cfg Config, id int) *SubChannel {
 		actCounter:    make([]int32, nb),
 		open:          dram.NewBankSet(nb),
 		rfmPending:    dram.NewBankSet(nb),
+		slots:         make([]winSlot, cfg.WindowDepth),
+		bankHead:      make([]int32, nb),
+		bankTail:      make([]int32, nb),
+		queued:        dram.NewBankSet(nb),
 		hitSet:        dram.NewBankSet(nb),
 		confSet:       dram.NewBankSet(nb),
 		faw:           make([]dram.Time, 4),
@@ -141,13 +145,15 @@ func newSubChannel(k *sim.Kernel, cfg Config, id int) *SubChannel {
 		actSinceAlert: true,
 	}
 	s.wakeEv.Bind((*subWake)(s))
-	s.bankBit = make([]uint64, nb)
-	for b := 0; b < nb && b < 64; b++ {
-		s.bankBit[b] = 1 << uint(b)
-	}
 	for i := range s.openRow {
 		s.openRow[i] = -1
+		s.bankHead[i] = -1
+		s.bankTail[i] = -1
 	}
+	for i := range s.slots {
+		s.slots[i].next = int32(i) + 1
+	}
+	s.slots[len(s.slots)-1].next = -1
 	for i := range s.faw {
 		s.faw[i] = -cfg.Timing.TFAW
 	}
@@ -182,7 +188,7 @@ func (s *SubChannel) RefIndex() int { return s.refIndex }
 
 // PendingRequests returns the number of requests still queued on this
 // sub-channel (for drain and conservation checks).
-func (s *SubChannel) PendingRequests() int { return len(s.queue) }
+func (s *SubChannel) PendingRequests() int { return s.inWindow + s.overflow.n }
 
 func (s *SubChannel) submit(r *Request) {
 	if r.Done != nil {
@@ -191,13 +197,16 @@ func (s *SubChannel) submit(r *Request) {
 	r.arrive = s.k.Now()
 	r.enqueue = s.nextEnq
 	s.nextEnq++
-	s.queue = append(s.queue, r)
-	s.qKey = append(s.qKey, uint64(uint32(r.addr.Row))<<32|uint64(uint32(r.addr.Bank)))
-	s.qBit = append(s.qBit, s.bankBit[r.addr.Bank])
+	inWindow := s.inWindow < s.cfg.WindowDepth
+	if inWindow {
+		s.admit(r)
+	} else {
+		s.overflow.push(r)
+	}
 	if s.obs != nil {
 		s.obs.ObserveSubmit(s.id, r.Write, r.arrive)
 	}
-	if c := s.arrivalWake(int(r.addr.Bank), int32(r.addr.Row)); c < s.nextAction {
+	if c := s.arrivalWake(r.addr.Bank, int32(r.addr.Row), inWindow); c < s.nextAction {
 		s.nextAction = c
 	}
 	// Fire the wake at the submit instant. Unless it is already due right
@@ -239,7 +248,7 @@ func (s *SubChannel) submit(r *Request) {
 //     ladder and contributes nothing — the armed time stays exact (the
 //     queue was already non-empty, so no idle-through decision flips) and
 //     the wake stays lazy.
-func (s *SubChannel) arrivalWake(b int, row int32) dram.Time {
+func (s *SubChannel) arrivalWake(b int, row int32, inWindow bool) dram.Time {
 	t := &s.cfg.Timing
 	now := s.k.Now()
 	if s.alertState == alertStall || now < s.refBusyUntil || s.refDue <= now ||
@@ -251,7 +260,7 @@ func (s *SubChannel) arrivalWake(b int, row int32) dram.Time {
 		// keeps the armed time exact.
 		return now
 	}
-	if len(s.queue) > s.cfg.WindowDepth {
+	if !inWindow {
 		return s.nextAction
 	}
 	switch or := s.openRow[b]; {
@@ -282,18 +291,110 @@ func (s *SubChannel) arrivalWake(b int, row int32) dram.Time {
 	}
 }
 
-// dequeue removes queue slot i, keeping the flat mirrors in step. The
-// vacated pointer slot is cleared so the retired *Request (and its bound
-// done event) does not stay reachable through the backing array.
-func (s *SubChannel) dequeue(i int) {
-	last := len(s.queue) - 1
-	copy(s.queue[i:], s.queue[i+1:])
-	s.queue[last] = nil
-	s.queue = s.queue[:last]
-	copy(s.qKey[i:], s.qKey[i+1:])
-	s.qKey = s.qKey[:last]
-	copy(s.qBit[i:], s.qBit[i+1:])
-	s.qBit = s.qBit[:last]
+// winSlot is one scheduling-window entry: the request, its arrival order
+// and row, and the next younger slot of the same bank (-1 at the tail).
+type winSlot struct {
+	r    *Request
+	seq  int64
+	row  int32
+	next int32
+}
+
+// admit places r in a free window slot at the tail of its bank's list and
+// classifies the bank against it. Requests enter the window in arrival
+// order, so every bank list stays in age order.
+func (s *SubChannel) admit(r *Request) {
+	i := s.freeSlot
+	e := &s.slots[i]
+	s.freeSlot = e.next
+	*e = winSlot{r: r, seq: r.enqueue, row: int32(r.addr.Row), next: -1}
+	s.inWindow++
+	b := r.addr.Bank
+	if tail := s.bankTail[b]; tail >= 0 {
+		s.slots[tail].next = i
+	} else {
+		s.bankHead[b] = i
+		s.queued.Set(b)
+	}
+	s.bankTail[b] = i
+	if open := s.openRow[b]; open == e.row {
+		s.hitSet.Set(b)
+	} else if open >= 0 {
+		s.confSet.Set(b)
+	}
+}
+
+// dequeue removes window slot i, which follows slot prev (-1: none) in
+// bank b's list, reclassifies the bank and slides the oldest overflow
+// request into the window. The vacated slot is cleared so the retired
+// *Request (and its bound done event) does not stay reachable.
+func (s *SubChannel) dequeue(b int, i, prev int32) {
+	e := &s.slots[i]
+	if prev >= 0 {
+		s.slots[prev].next = e.next
+	} else {
+		s.bankHead[b] = e.next
+	}
+	if s.bankTail[b] == i {
+		s.bankTail[b] = prev
+	}
+	*e = winSlot{next: s.freeSlot}
+	s.freeSlot = i
+	s.inWindow--
+	s.classify(b)
+	if s.overflow.n > 0 {
+		s.admit(s.overflow.pop())
+	}
+}
+
+// classify recomputes bank b's membership of queued, hitSet and confSet
+// from its window list and open row.
+func (s *SubChannel) classify(b int) {
+	s.hitSet.Clear(b)
+	s.confSet.Clear(b)
+	i := s.bankHead[b]
+	if i < 0 {
+		s.queued.Clear(b)
+		return
+	}
+	open := s.openRow[b]
+	if open < 0 {
+		return
+	}
+	for ; i >= 0; i = s.slots[i].next {
+		if s.slots[i].row == open {
+			s.hitSet.Set(b)
+		} else {
+			s.confSet.Set(b)
+		}
+	}
+}
+
+// reqRing is a FIFO of requests in a power-of-two ring. It reallocates
+// only at a new high-water mark and clears every slot it pops.
+type reqRing struct {
+	buf     []*Request
+	head, n int
+}
+
+func (q *reqRing) push(r *Request) {
+	if q.n == len(q.buf) {
+		buf := make([]*Request, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = r
+	q.n++
+}
+
+func (q *reqRing) pop() *Request {
+	r := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return r
 }
 
 // subWake adapts a SubChannel to sim.Handler for its wake event.
@@ -356,8 +457,8 @@ const never = dram.Time(1) << 62
 // transitions it made and whether the wake must rescan. Protocol
 // transitions (ALERT, REF, RFM) fire one at a time and always rescan:
 // each can change what every later stage sees. The window's commands are
-// left to scan, which issues all of them that are due in one traversal
-// and arms the wake, so a wake normally walks the window exactly once.
+// left to scan, which issues all of them that are due in one call and
+// arms the wake, so a wake normally scans the window exactly once.
 func (s *SubChannel) pass() (steps int, rescan bool) {
 	now := s.k.Now()
 
@@ -417,8 +518,8 @@ func (s *SubChannel) pass() (steps int, rescan bool) {
 	}
 
 	// Proactive RFM execution. Wake candidates for still-blocked pending
-	// banks need the hit classification, so scan collects them after its
-	// window traversal.
+	// banks need the hit classification after the column issue, so scan
+	// collects them.
 	if s.rfmCount > 0 {
 		t := &s.cfg.Timing
 		for wi, w := range s.rfmPending.Words() {
@@ -474,27 +575,23 @@ func (s *SubChannel) startAlert(now dram.Time) {
 	}
 }
 
-// windowLen is the number of queued requests the scheduler considers.
-func (s *SubChannel) windowLen() int {
-	return min(len(s.queue), s.cfg.WindowDepth)
-}
-
-// scan issues, in one traversal of the scheduling window, every command
-// the chain of single-command passes would issue at this instant and in
-// the same order — the oldest ready column, then the due precharges in
-// bank order, then the oldest eligible activate — and arms the wake at
-// the earliest future candidate. None of these commands can enable a
-// protocol transition of higher priority except through the tracker
-// (DESIGN.md §19), so continuing past an issue is exact. The tracker
-// sees an activate, so scan polls for an owed ALERT right after one and,
-// if owed, starts it and asks for a rescan; a RowPress precharge reports
-// equivalent ACTs, so scan always rescans after one.
+// scan issues every command the chain of single-command passes would
+// issue at this instant and in the same order — the oldest ready column,
+// then the due precharges in bank order, then the oldest eligible
+// activate — and arms the wake at the earliest future candidate. It
+// decides from bank-level minima over the window index (DESIGN.md §21),
+// so its cost follows the banks, not the window depth. None of these
+// commands can enable a protocol transition of higher priority except
+// through the tracker (DESIGN.md §19), so continuing past an issue is
+// exact. The tracker sees an activate, so scan polls for an owed ALERT
+// right after one and, if owed, starts it and asks for a rescan; a
+// RowPress precharge reports equivalent ACTs, so scan always rescans
+// after one.
 //
-// Candidates are folded after the traversal rather than per entry: a
-// hit waits for max(colReadyAt, bus), a closed bank for max(bank ready,
-// tFAW, tRRD), and max distributes over min, so one minimum per class
-// plus the gates as they stand after the issues is the exact earliest
-// instant.
+// Candidates fold per bank class: a hit waits for max(colReadyAt, bus),
+// a closed bank for max(bank ready, tFAW, tRRD), and max distributes
+// over min, so one minimum per class plus the gates as they stand after
+// the issues is the exact earliest instant.
 func (s *SubChannel) scan(now dram.Time) (steps int, rescan bool) {
 	t := &s.cfg.Timing
 	s.scans++
@@ -507,123 +604,63 @@ func (s *SubChannel) scan(now dram.Time) (steps int, rescan bool) {
 		next = s.refDue // refresh is self-sustaining
 	}
 
-	// The traversal issues the oldest ready column command, classifies
-	// banks against the window (pending row hit / pending row conflict)
-	// for the precharge policy, and collects the earliest hit and
-	// closed-bank times for the arm.
-	hitW := s.hitSet.Words()
-	confW := s.confSet.Words()
-	if len(hitW) > 1 {
-		s.hitSet.Reset()
-		s.confSet.Reset()
-	}
-	busOK := s.busFreeAt <= now+t.TCL
-	hitAt, closedAt := never, never
-	actIdx, actBank := -1, -1
-	var actAt dram.Time
-	// Per-bank dedup: the window (up to 64 entries) repeats banks heavily,
-	// and every entry after the first of its class on a bank is fully
-	// redundant — the bank state is identical, so it reaches the same
-	// issue decision and the same wake candidate, and FR-FCFS age order
-	// already favoured the earlier entry. The register masks cover banks
-	// < 64 and double as word zero of hitSet/confSet, stored once when
-	// the traversal completes; larger geometries keep per-entry set
-	// updates for the excess banks (still correct, just slower). Between
-	// scans the sets stay valid — arrivalWake reads hitSet for the
-	// pending-hit precharge veto — because every wake ends in a scan that
-	// completes its traversal, or in a blocked state arrivalWake does not
-	// classify against.
-	// resolved accumulates banks no further entry can say anything new
-	// about — closed banks after their first entry, open banks once both
-	// a hit and a conflict are recorded — so the dense tail of a deep
-	// window skips in two instructions without touching the bank planes.
-	var seenHit, seenConf, resolved uint64
-	window := s.windowLen()
-	qKey := s.qKey[:window]
-	qBit := s.qBit[:window]
 	// Reslicing every timing plane to the openRow length lets the first
-	// openRow[b] access prove b in range for the rest (one bounds check
-	// per entry instead of one per plane).
+	// openRow[b] access prove b in range for the rest.
 	openRow := s.openRow
 	colReadyAt := s.colReadyAt[:len(openRow)]
 	actReadyAt := s.actReadyAt[:len(openRow)]
 	idleAt := s.idleAt[:len(openRow)]
-	for i := 0; i < window; i++ {
-		key := qKey[i]
-		bit := qBit[i]
-		if resolved&bit != 0 {
-			continue
+	slots := s.slots
+
+	// Column: the oldest row hit on a bank past tRCD, if the bus is free.
+	// Each hit bank's first hit in its age-ordered list is its oldest.
+	if s.busFreeAt <= now+t.TCL {
+		col, colPrev, colBank := int32(-1), int32(-1), -1
+		var colSeq int64
+		for wi, w := range s.hitSet.Words() {
+			for base := wi << 6; w != 0; w &= w - 1 {
+				b := base + bits.TrailingZeros64(w)
+				if open := openRow[b]; colReadyAt[b] <= now {
+					prev, i := int32(-1), s.bankHead[b]
+					for slots[i].row != open {
+						prev, i = i, slots[i].next
+					}
+					if col < 0 || slots[i].seq < colSeq {
+						col, colPrev, colBank, colSeq = i, prev, b, slots[i].seq
+					}
+				}
+			}
 		}
-		b := int(uint32(key))
-		switch row := openRow[b]; {
-		case row == int32(key>>32):
-			if seenHit&bit != 0 {
-				continue
-			}
-			at := colReadyAt[b]
-			if busOK && now >= at {
-				// The oldest ready hit issues, and the traversal goes on
-				// over the window as the issue left it: the bus is busy,
-				// the entry is gone (its bank stays unclassified unless a
-				// later entry hits it), and the dequeue — or a posted
-				// write's Done submitting synchronously — may have moved
-				// entries into the window.
-				s.issueColumn(s.queue[i], b, now)
-				s.dequeue(i)
-				steps++
-				busOK = false
-				window = s.windowLen()
-				qKey = s.qKey[:window]
-				qBit = s.qBit[:window]
-				i--
-				continue
-			}
-			seenHit |= bit
-			resolved |= seenConf & bit
-			if bit == 0 {
-				s.hitSet.Set(b)
-			}
-			hitAt = min(hitAt, at)
-		case row >= 0:
-			if seenConf&bit != 0 {
-				continue
-			}
-			seenConf |= bit
-			resolved |= seenHit & bit
-			if bit == 0 {
-				s.confSet.Set(b)
-			}
-		default:
-			resolved |= bit
-			at := max(actReadyAt[b], idleAt[b])
-			if actIdx < 0 && now >= at && !s.rfmPending.Test(b) {
-				actIdx, actBank, actAt = i, b, at
-				continue
-			}
-			if b != actBank { // banks past 64 are not deduplicated
-				closedAt = min(closedAt, at)
-			}
+		if col >= 0 {
+			// A posted write's Done runs inside the issue. It may recycle
+			// the request and submit to this sub-channel before it
+			// returns, so the slot and bank are captured first and the
+			// dequeue follows the issue: such a submission still counts
+			// the issued entry, and the dequeue then slides the oldest
+			// overflow request in, keeping admission in arrival order.
+			s.issueColumn(slots[col].r, colBank, now)
+			s.dequeue(colBank, col, colPrev)
+			steps++
 		}
 	}
-	hitW[0] = seenHit
-	confW[0] = seenConf
 
 	// RFM wake candidates: a pending bank fires at preReady (open, no
 	// hit) or at idle (closed). The precharges and the activate below
 	// leave them exact: a pending open bank is never due for a demand
 	// precharge (the RFM stage would have closed it), and a bank the
 	// activate makes pending holds a hit.
+	hitW := s.hitSet.Words()
 	if s.rfmCount > 0 {
 		for wi, w := range s.rfmPending.Words() {
 			hw := hitW[wi]
 			for base := wi << 6; w != 0; w &= w - 1 {
 				b := base + bits.TrailingZeros64(w)
-				if s.openRow[b] >= 0 {
+				if openRow[b] >= 0 {
 					if hw&(w&-w) == 0 && s.preReadyAt[b] < next {
 						next = s.preReadyAt[b]
 					}
-				} else if s.idleAt[b] < next {
-					next = s.idleAt[b]
+				} else if idleAt[b] < next {
+					next = idleAt[b]
 				}
 			}
 		}
@@ -634,8 +671,9 @@ func (s *SubChannel) scan(now dram.Time) (steps int, rescan bool) {
 	// immediately at preReady for a pending conflict, the soft close-page
 	// point otherwise — as a wake candidate. Hit-bearing banks are masked
 	// out wholesale (soft close-page: pending hits are served first). A
-	// precharged conflict bank turns its window entries into closed-bank
-	// candidates; one closed by soft close-page has no entries.
+	// precharged conflict bank's window entries become closed-bank
+	// candidates below; one closed by soft close-page has no entries.
+	confW := s.confSet.Words()
 	for wi, w := range s.open.Words() {
 		w &^= hitW[wi]
 		cw := confW[wi]
@@ -647,10 +685,6 @@ func (s *SubChannel) scan(now dram.Time) (steps int, rescan bool) {
 				steps++
 				if s.cfg.RowPressWeighting {
 					return steps, true
-				}
-				if conf {
-					s.confSet.Clear(b)
-					closedAt = min(closedAt, max(s.actReadyAt[b], s.idleAt[b]))
 				}
 				continue
 			}
@@ -664,26 +698,57 @@ func (s *SubChannel) scan(now dram.Time) (steps int, rescan bool) {
 		}
 	}
 
-	// Activate the oldest eligible request, gated by the channel-level
-	// ACT pacing (tRRD and the four-activation window). The bank then
-	// holds a hit, and the pacing gates move past now.
+	// Activate: the oldest head among closed banks that are ready and owe
+	// no RFM. Every other closed bank with window entries is a wake
+	// candidate at its ready time.
+	act, actBank := int32(-1), -1
+	var actSeq int64
+	var actAt dram.Time
+	closedAt := never
+	openW := s.open.Words()
+	for wi, w := range s.queued.Words() {
+		for w &^= openW[wi]; w != 0; w &= w - 1 {
+			b := wi<<6 + bits.TrailingZeros64(w)
+			at := max(actReadyAt[b], idleAt[b])
+			if h := s.bankHead[b]; now >= at && !s.rfmPending.Test(b) && (act < 0 || slots[h].seq < actSeq) {
+				if act >= 0 {
+					closedAt = min(closedAt, actAt)
+				}
+				act, actBank, actSeq, actAt = h, b, slots[h].seq, at
+				continue
+			}
+			closedAt = min(closedAt, at)
+		}
+	}
+
+	// The activate is gated by the channel-level ACT pacing (tRRD and the
+	// four-activation window). The bank then holds a hit, and the pacing
+	// gates move past now.
 	skipFAW := debugSkipFAW
 	trrdGate := s.lastActAt + t.TRRD
 	fawGate := s.faw[s.fawIdx] + t.TFAW
-	if actIdx >= 0 {
+	if act >= 0 {
 		if now >= trrdGate && (skipFAW || now >= fawGate) {
-			s.activate(actBank, int(s.qKey[actIdx]>>32), now)
+			s.activate(actBank, int(slots[act].row), now)
 			steps++
 			if s.alertOwed() {
 				s.startAlert(now)
 				return steps + 1, true
 			}
-			s.hitSet.Set(actBank)
-			hitAt = min(hitAt, s.colReadyAt[actBank])
 			trrdGate = s.lastActAt + t.TRRD
 			fawGate = s.faw[s.fawIdx] + t.TFAW
 		} else {
 			closedAt = min(closedAt, actAt)
+		}
+	}
+
+	// Hits fold over the window as the issues left it: entries that slid
+	// in or were submitted during the column issue count, and so does the
+	// bank just activated.
+	hitAt := never
+	for wi, w := range hitW {
+		for base := wi << 6; w != 0; w &= w - 1 {
+			hitAt = min(hitAt, colReadyAt[base+bits.TrailingZeros64(w)])
 		}
 	}
 
@@ -731,7 +796,7 @@ func (s *SubChannel) armBlocked(now dram.Time) {
 		// during the busy window (it only sees ACT/REF/RFM events, and
 		// none issue before refBusyUntil), so WantsALERT sampled here
 		// holds until then.
-		idleThrough := len(s.queue) == 0 && s.rfmCount == 0 &&
+		idleThrough := s.inWindow == 0 && s.rfmCount == 0 &&
 			!s.alertOwed() &&
 			s.refDue > s.refBusyUntil && s.open.None()
 		if !idleThrough && s.refBusyUntil < next {
@@ -820,6 +885,8 @@ func (s *SubChannel) precharge(bank int, now dram.Time, forced bool) {
 	}
 	s.openRow[bank] = -1
 	s.open.Clear(bank)
+	s.hitSet.Clear(bank)
+	s.confSet.Clear(bank)
 	s.actReadyAt.Raise(bank, now+t.TRP)
 	s.idleAt[bank] = now + t.TRP
 	s.stats.PREs++
@@ -832,6 +899,7 @@ func (s *SubChannel) activate(bank, row int, now dram.Time) {
 	t := &s.cfg.Timing
 	s.openRow[bank] = int32(row)
 	s.open.Set(bank)
+	s.classify(bank)
 	s.openedAt[bank] = now
 	s.colReadyAt[bank] = now + t.TRCD
 	s.preReadyAt[bank] = now + t.TRAS
