@@ -112,8 +112,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mirza-bench:", err)
 		os.Exit(2)
 	}
-	if *workloads != "" {
-		opts.Workloads = strings.Split(*workloads, ",")
+	names, err := cliflags.Workloads(*workloads)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mirza-bench:", err)
+		os.Exit(2)
+	}
+	if names != nil {
+		opts.Workloads = names
 	}
 	opts.StallBudget = shared.StallBudget
 	opts.Parallelism = shared.Parallelism

@@ -3,8 +3,9 @@
 // watchdog budget (-stall-budget), the job-engine worker count (-j), and
 // the telemetry manifest path (-metrics) of mirza-sim and mirza-bench
 // (Register), their simulated-time window flags (WindowMS,
-// ReplayWindows), and the mitigation policy flags of mirza-sim and
-// mirza-attack (RegisterMitigation). Keeping the parsing in one place
+// ReplayWindows), mirza-bench's workload subset (Workloads), and the
+// mitigation policy flags of mirza-sim and mirza-attack
+// (RegisterMitigation). Keeping the parsing in one place
 // keeps the binaries' flag semantics — and their error messages for
 // malformed input — identical.
 package cliflags
@@ -23,6 +24,7 @@ import (
 	"mirza/internal/dram"
 	"mirza/internal/fault"
 	"mirza/internal/tenant"
+	"mirza/internal/trace"
 	"mirza/internal/track"
 )
 
@@ -222,6 +224,23 @@ func ReplayWindows(n int) error {
 		return fmt.Errorf("-replay-windows: want 0 (default) or at least 2 tREFW windows, got %d", n)
 	}
 	return nil
+}
+
+// Workloads validates a comma-separated -workloads list against the
+// workload table. An empty list selects every workload (nil); otherwise
+// every name must be a known workload, so a typo or a stray comma fails
+// the command instead of being ignored or failing mid-run.
+func Workloads(list string) ([]string, error) {
+	if list == "" {
+		return nil, nil
+	}
+	names := strings.Split(list, ",")
+	for _, n := range names {
+		if _, err := trace.Lookup(n); err != nil {
+			return nil, fmt.Errorf("-workloads: unknown workload %q in %q (valid: %s)", n, list, strings.Join(trace.WorkloadNames(), ", "))
+		}
+	}
+	return names, nil
 }
 
 // ValidateListen validates a -listen address shared by mirza-bench and

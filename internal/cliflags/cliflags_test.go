@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -176,6 +177,41 @@ func TestWindowMS(t *testing.T) {
 		}
 		if got != tc.want {
 			t.Errorf("WindowMS(%v, zeroOK=%v) = %v, want %v", tc.ms, tc.zeroOK, got, tc.want)
+		}
+	}
+}
+
+func TestWorkloads(t *testing.T) {
+	for _, tc := range []struct {
+		list string
+		want []string
+		bad  string // the name the error must quote; "" = valid
+	}{
+		{"", nil, ""},
+		{"xz", []string{"xz"}, ""},
+		{"fotonik3d,mix_1,bc", []string{"fotonik3d", "mix_1", "bc"}, ""},
+		{"nosuchwork", nil, `"nosuchwork"`},
+		{"xz,,xz", nil, `""`},
+		{"xz,", nil, `""`},
+		{",", nil, `""`},
+		{"xz, mcf", nil, `" mcf"`},
+		{"XZ", nil, `"XZ"`},
+	} {
+		got, err := Workloads(tc.list)
+		if tc.bad == "" {
+			if err != nil || !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("Workloads(%q) = %q, %v; want %q", tc.list, got, err, tc.want)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("Workloads(%q) = %q, want an error", tc.list, got)
+			continue
+		}
+		for _, want := range []string{"-workloads", tc.bad, "fotonik3d", "mix_6"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("Workloads(%q): error %q lacks %s", tc.list, err, want)
+			}
 		}
 	}
 }

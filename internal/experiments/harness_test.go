@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +13,9 @@ import (
 	"mirza/internal/core"
 	"mirza/internal/dram"
 	"mirza/internal/fault"
+	"mirza/internal/replay"
 	"mirza/internal/sim"
+	"mirza/internal/trace"
 	"mirza/internal/track"
 )
 
@@ -46,6 +49,71 @@ func TestHarnessPanicRecovery(t *testing.T) {
 	}
 	if s.runner != nil {
 		t.Error("failed attempt must discard the shared runner")
+	}
+}
+
+// replayPanicGen is a trace generator that panics once it has produced a
+// few thousand ops, which the replay runner draws on a goroutine of its own.
+type replayPanicGen struct {
+	trace.Generator
+	calls int
+}
+
+func (g *replayPanicGen) Next(op *trace.Op) {
+	if g.calls++; g.calls == 5000 {
+		panic("deliberate generator panic")
+	}
+	g.Generator.Next(op)
+}
+
+// TestHarnessReplayGeneratorPanic drives a replay whose generator panics
+// through the Suite: the panic crosses from the replay's producer goroutine
+// to the job that called Run, the experiment fails with the panic value,
+// and no goroutine is left behind.
+func TestHarnessReplayGeneratorPanic(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := NewSuite(quickOpts(), SuiteConfig{NoRetry: true})
+	res := s.Run(context.Background(), Experiment{
+		ID: "genboom",
+		Run: func(r *Runner) (*Table, error) {
+			_, err := runJobs(r, []job[int]{{
+				id: "genboom/replay",
+				run: func(x *Exec) (int, error) {
+					spec, err := trace.Lookup("xz")
+					if err != nil {
+						return 0, err
+					}
+					gens, err := trace.PerCore(spec, 4, 1)
+					if err != nil {
+						return 0, err
+					}
+					gens[1] = &replayPanicGen{Generator: gens[1]}
+					run, err := replay.NewRunner(replay.Config{IPS: spec.ImpliedIPS()}, gens, nil)
+					if err != nil {
+						return 0, err
+					}
+					run.Run(dram.DDR5().TREFW, nil)
+					return 0, nil
+				},
+			}})
+			if err != nil {
+				return nil, err
+			}
+			return &Table{ID: "genboom"}, nil
+		},
+	})
+	if !res.Failed() {
+		t.Fatalf("want a failed experiment, got %+v", res)
+	}
+	if !strings.Contains(res.Err.Error(), "deliberate generator panic") {
+		t.Errorf("error lacks the generator's panic value: %v", res.Err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the failed experiment, %d before", n, before)
 	}
 }
 

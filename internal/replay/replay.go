@@ -16,6 +16,7 @@ package replay
 
 import (
 	"fmt"
+	"math"
 
 	"mirza/internal/dram"
 	"mirza/internal/trace"
@@ -50,8 +51,11 @@ func (c *Config) setDefaults() error {
 	if c.RowOpenWindow == 0 {
 		c.RowOpenWindow = 150 * dram.Nanosecond
 	}
-	if c.IPS <= 0 {
-		return fmt.Errorf("replay: IPS must be positive, got %v", c.IPS)
+	if c.RowOpenWindow < 0 {
+		return fmt.Errorf("replay: RowOpenWindow must not be negative, got %v", c.RowOpenWindow)
+	}
+	if !(c.IPS > 0) || math.IsInf(c.IPS, 1) {
+		return fmt.Errorf("replay: IPS must be positive and finite, got %v", c.IPS)
 	}
 	return c.Geometry.Validate()
 }
@@ -76,15 +80,13 @@ type bankRow struct {
 type Runner struct {
 	cfg    Config
 	dec    dram.Decoder
-	gens   []trace.Generator
 	mapper *vmap.Mapper
 	mits   []track.Mitigator
 	asids  []int
 
-	coreInstr []float64   // cumulative instructions per core
-	coreAt    []dram.Time // coreTime of each core, kept in step with coreInstr
-	coreOp    []trace.Op
-	perCore   float64 // per-core instructions per second
+	feed     *feed
+	coreAt   []dram.Time // per core: the time of its next op
+	coreLine []uint64    // per core: the virtual line of its next op
 
 	banks  [][]bankRow // [sub][bank]
 	refDue []dram.Time
@@ -96,12 +98,22 @@ type Runner struct {
 
 // NewRunner builds a replayer over one generator per core. mits supplies
 // one mitigator per sub-channel (nil entries run unprotected).
+//
+// The Runner owns gens from here on: it draws their ops ahead of Run on a
+// goroutine of its own, so a generator may not be shared between cores or
+// Runners, nor used by the caller after it is handed over.
 func NewRunner(cfg Config, gens []trace.Generator, mits []track.Mitigator) (*Runner, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("replay: need at least one generator")
+	}
+	// A core's clock is its cumulative instruction count over the per-core
+	// rate; one instruction must span a representable time, or the clock
+	// converts to garbage and Run never reaches its end time.
+	if step := 1 / (cfg.IPS / float64(len(gens))) * 1e12; !(step < math.MaxInt64) {
+		return nil, fmt.Errorf("replay: IPS %v over %d cores is too low: one instruction takes %v ps", cfg.IPS, len(gens), step)
 	}
 	if mits == nil {
 		mits = make([]track.Mitigator, cfg.Geometry.SubChannels)
@@ -125,19 +137,16 @@ func NewRunner(cfg Config, gens []trace.Generator, mits []track.Mitigator) (*Run
 		}
 	}
 	r := &Runner{
-		cfg:       cfg,
-		dec:       cfg.Geometry.Decoder(dram.MOP4Mapping),
-		gens:      gens,
-		mapper:    vmap.NewMapper(cfg.Geometry.CapacityBytes()),
-		mits:      mits,
-		asids:     asids,
-		coreInstr: make([]float64, len(gens)),
-		coreAt:    make([]dram.Time, len(gens)),
-		coreOp:    make([]trace.Op, len(gens)),
-		perCore:   cfg.IPS / float64(len(gens)),
-		refDue:    make([]dram.Time, cfg.Geometry.SubChannels),
-		refIdx:    make([]int, cfg.Geometry.SubChannels),
-		stats:     make([]Stats, cfg.Geometry.SubChannels),
+		cfg:      cfg,
+		dec:      cfg.Geometry.Decoder(dram.MOP4Mapping),
+		mapper:   vmap.NewMapper(cfg.Geometry.CapacityBytes()),
+		mits:     mits,
+		asids:    asids,
+		coreAt:   make([]dram.Time, len(gens)),
+		coreLine: make([]uint64, len(gens)),
+		refDue:   make([]dram.Time, cfg.Geometry.SubChannels),
+		refIdx:   make([]int, cfg.Geometry.SubChannels),
+		stats:    make([]Stats, cfg.Geometry.SubChannels),
 	}
 	r.banks = make([][]bankRow, cfg.Geometry.SubChannels)
 	for sub := range r.banks {
@@ -154,9 +163,11 @@ func NewRunner(cfg Config, gens []trace.Generator, mits []track.Mitigator) (*Run
 				r.mapper.Translate(asids[c], off)
 			}
 		}
-		r.gens[c].Next(&r.coreOp[c])
-		r.coreInstr[c] = float64(r.coreOp[c].Gap + 1)
-		r.coreAt[c] = r.coreTime(c)
+	}
+	r.feed = newFeed(gens, cfg.IPS)
+	for c := range gens {
+		op := r.feed.head(c)
+		r.coreAt[c], r.coreLine[c] = op.at, op.line
 	}
 	return r, nil
 }
@@ -170,14 +181,11 @@ func (r *Runner) Stats() []Stats { return append([]Stats(nil), r.stats...) }
 // Mitigators returns the attached mitigators.
 func (r *Runner) Mitigators() []track.Mitigator { return r.mits }
 
-// coreTime converts a core's cumulative instruction count to time.
-func (r *Runner) coreTime(c int) dram.Time {
-	return dram.Time(r.coreInstr[c] / r.perCore * 1e12)
-}
-
 // Run replays until the clock reaches the given absolute time. obs may be
-// nil.
+// nil. A panic in a generator re-panics here with its original value.
 func (r *Runner) Run(until dram.Time, obs Observer) {
+	r.feed.start()
+	defer r.feed.stop()
 	for {
 		// Next core event: the earliest core, ties to the lowest index.
 		c := 0
@@ -195,8 +203,7 @@ func (r *Runner) Run(until dram.Time, obs Observer) {
 		r.fireREFs(tc)
 		r.now = tc
 
-		op := r.coreOp[c]
-		phys := r.mapper.Translate(r.asids[c], op.Line*trace.LineBytes)
+		phys := r.mapper.Translate(r.asids[c], r.coreLine[c]*trace.LineBytes)
 		addr := r.dec.Decompose(phys)
 		st := &r.stats[addr.SubChannel]
 		st.Accesses++
@@ -219,9 +226,8 @@ func (r *Runner) Run(until dram.Time, obs Observer) {
 		}
 
 		// Advance the core to its next operation.
-		r.gens[c].Next(&r.coreOp[c])
-		r.coreInstr[c] += float64(r.coreOp[c].Gap + 1)
-		r.coreAt[c] = r.coreTime(c)
+		op := r.feed.next(c)
+		r.coreAt[c], r.coreLine[c] = op.at, op.line
 	}
 }
 

@@ -1,7 +1,9 @@
 package replay
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"mirza/internal/core"
 	"mirza/internal/dram"
@@ -100,14 +102,48 @@ func TestReplayDrivesMitigator(t *testing.T) {
 	}
 }
 
+// TestReplayValidation: NewRunner rejects configs under which Run could
+// never reach its end time, and an accepted config must reach it.
 func TestReplayValidation(t *testing.T) {
-	if _, err := NewRunner(Config{}, gens(t, "mcf", 2), nil); err == nil {
-		t.Error("zero IPS must be rejected")
-	}
 	if _, err := NewRunner(Config{IPS: 1e9}, nil, nil); err == nil {
 		t.Error("no generators must be rejected")
 	}
 	if _, err := NewRunner(Config{IPS: 1e9}, gens(t, "mcf", 1), make([]track.Mitigator, 5)); err == nil {
 		t.Error("mitigator count mismatch must be rejected")
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"zero IPS", Config{}, false},
+		{"negative IPS", Config{IPS: -1e9}, false},
+		{"NaN IPS", Config{IPS: math.NaN()}, false},
+		{"+Inf IPS", Config{IPS: math.Inf(1)}, false},
+		{"-Inf IPS", Config{IPS: math.Inf(-1)}, false},
+		{"IPS too low to represent one instruction", Config{IPS: 1e-300}, false},
+		{"one instruction past 2^63 ps", Config{IPS: 2e-7}, false},
+		{"negative row-open window", Config{IPS: 1e9, RowOpenWindow: -1}, false},
+		{"slow but representable IPS", Config{IPS: 1}, true},
+		{"explicit row-open window", Config{IPS: 1e9, RowOpenWindow: dram.Nanosecond}, true},
+	} {
+		r, err := NewRunner(tc.cfg, gens(t, "mcf", 2), nil)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if r == nil {
+			continue
+		}
+		done := make(chan struct{})
+		go func() {
+			r.Run(10*dram.Microsecond, nil)
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Run(10µs) did not return", tc.name)
+		}
 	}
 }
