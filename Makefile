@@ -11,7 +11,7 @@ GO ?= go
 # parallel path, not just -j 1.
 SHORT_ENV = MIRZA_MEASURE_MS=0.2 MIRZA_WARMUP_MS=0.1 MIRZA_REPLAY_WINDOWS=2 MIRZA_WORKLOADS=xz MIRZA_PARALLELISM=4
 
-.PHONY: check vet build test test-race test-telemetry serve-check trace-check sweep-check audit conformance bench bench-check bench-smoke bench-mem clean
+.PHONY: check vet build test test-race test-telemetry serve-check trace-check sweep-check audit conformance bench-check clean
 
 check: vet build test-race test-telemetry
 
@@ -87,35 +87,16 @@ audit:
 conformance:
 	$(GO) test -race -count=1 ./internal/track/conformance/
 
-bench:
-	$(GO) test -bench=. -benchtime=1x -run=NONE ./...
-
 # The repository benchmark (bench/) is a Go module of its own, so the root
 # `go test ./...` does not build or test it. This runs its tests (a smoke
 # run of every workload, BENCHMARK.json sync, wrapper and digest checks)
 # against the current checkout, which catches API changes in the packages
-# it imports (dram, replay, mem, track, ...).
+# it imports (dram, replay, mem, track, ...). It checks correctness and
+# digests only: simulator speed is judged by bench/'s compare of the parent
+# commit against the change, and steady-state allocation freedom by the
+# zero-alloc tests `make check` runs.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
-
-# Scheduler hot-path benchmarks with the regression gates: the new
-# reusable-event kernel must stay allocation-free and >= 1.5x over the
-# preserved legacy container/heap baseline. Results land in
-# BENCH_kernel.json (checked in; CI uploads each run's copy as an
-# artifact).
-bench-smoke:
-	$(GO) test -short -run=TestScheduleEventAllocFree -bench=BenchmarkKernel -benchmem ./internal/sim/ \
-		| $(GO) run ./cmd/benchjson -out BENCH_kernel.json
-
-# Memory command-path benchmarks with the same gates as bench-smoke: the
-# redesigned SubChannel path must stay allocation-free in steady state and
-# >= 1.5x over the preserved pre-redesign baseline on every pairing, both
-# for the full fig3 system (BenchmarkFig3) and for recorded fig3 request
-# streams replayed straight into the channel (BenchmarkFig3MemPath).
-# Results land in BENCH_mem.json (checked in; CI uploads each run's copy).
-bench-mem:
-	$(GO) test -run=TestFig3SteadyStateAllocFree -bench=BenchmarkFig3 -benchmem ./internal/mem/ \
-		| $(GO) run ./cmd/benchjson -out BENCH_mem.json
 
 clean:
 	$(GO) clean ./...

@@ -45,15 +45,15 @@ import (
 // overrides to opts. A zero keeps the default; any other value must pass
 // the shared window checks.
 func scaleWindows(opts experiments.Options, measureMS, warmupMS float64, windows int) (experiments.Options, error) {
-	measure, err := cliflags.WindowMS("measure-ms", measureMS, true)
+	measure, err := cliflags.WindowMS("-measure-ms", measureMS, true)
 	if err != nil {
 		return opts, err
 	}
-	warmup, err := cliflags.WindowMS("warmup-ms", warmupMS, true)
+	warmup, err := cliflags.WindowMS("-warmup-ms", warmupMS, true)
 	if err != nil {
 		return opts, err
 	}
-	if err := cliflags.ReplayWindows(windows); err != nil {
+	if err := cliflags.ReplayWindows("-replay-windows", windows); err != nil {
 		return opts, err
 	}
 	if measure > 0 {
@@ -104,7 +104,11 @@ func main() {
 		return
 	}
 
-	opts := experiments.DefaultOptions()
+	opts, err := experiments.DefaultOptions()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mirza-bench:", err)
+		os.Exit(2)
+	}
 	if *quick {
 		opts = opts.Quick()
 	}
@@ -112,7 +116,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mirza-bench:", err)
 		os.Exit(2)
 	}
-	names, err := cliflags.Workloads(*workloads)
+	names, err := cliflags.Workloads("-workloads", *workloads)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mirza-bench:", err)
 		os.Exit(2)

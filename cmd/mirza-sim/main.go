@@ -100,11 +100,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if mit.Listed(stdout) {
 		return 0
 	}
-	measure, err := cliflags.WindowMS("ms", *ms, false)
+	measure, err := cliflags.WindowMS("-ms", *ms, false)
 	if err != nil {
 		return fail(2, err)
 	}
-	warmup, err := cliflags.WindowMS("warmup-ms", *warmMS, true)
+	warmup, err := cliflags.WindowMS("-warmup-ms", *warmMS, true)
 	if err != nil {
 		return fail(2, err)
 	}

@@ -11,6 +11,10 @@
 //	cmd/mirza-sim     - full-system simulation of one workload + mitigation
 //	cmd/mirza-attack  - worst-case attack evaluation against any defense
 //	cmd/mirza-bench   - regenerate every table and figure of the paper
+//	cmd/mirza-serve   - the experiment pipeline as an HTTP/JSON daemon
+//	cmd/mirza-sweep   - sweep grids with a verifiable provenance ledger
 //	examples/...      - library usage walkthroughs
-//	bench_test.go     - testing.B benchmark per table/figure
+//
+// The repository benchmark lives in bench/, a Go module of its own (see
+// bench/README.md).
 package mirza

@@ -7,7 +7,9 @@
 // mitigation policy flags of mirza-sim and mirza-attack
 // (RegisterMitigation). Keeping the parsing in one place
 // keeps the binaries' flag semantics — and their error messages for
-// malformed input — identical.
+// malformed input — identical. The window, replay-window and workload
+// rules also check the MIRZA_* environment overrides read by
+// experiments.DefaultOptions.
 package cliflags
 
 import (
@@ -195,49 +197,52 @@ func (m *Mitigation) Build() (*track.Built, error) {
 	})
 }
 
-// WindowMS validates a simulated-time window flag given in milliseconds
-// (-ms, -measure-ms, -warmup-ms) and converts it to simulated time. The
+// WindowMS validates a simulated-time window given in milliseconds (the
+// -ms, -measure-ms and -warmup-ms flags, or a MIRZA_*_MS variable) and
+// converts it to simulated time; label names the source in the error. The
 // value must be finite, not negative and representable in picoseconds. A
 // zero is accepted only when zeroOK — mirza-sim's -warmup-ms 0 means no
 // warmup and mirza-bench reads 0 as "the default" — and a positive value
 // must not round down to zero.
-func WindowMS(name string, ms float64, zeroOK bool) (dram.Time, error) {
+func WindowMS(label string, ms float64, zeroOK bool) (dram.Time, error) {
 	want := "a finite, positive"
 	if zeroOK {
 		want = "a finite, non-negative"
 	}
 	if !(ms >= 0) || ms > float64(math.MaxInt64)/float64(dram.Millisecond) || (ms == 0 && !zeroOK) {
-		return 0, fmt.Errorf("-%s: window must be %s number of milliseconds, got %v", name, want, ms)
+		return 0, fmt.Errorf("%s: window must be %s number of milliseconds, got %v", label, want, ms)
 	}
 	t := dram.Time(ms * float64(dram.Millisecond))
 	if ms > 0 && t == 0 {
-		return 0, fmt.Errorf("-%s: %v ms is shorter than a picosecond", name, ms)
+		return 0, fmt.Errorf("%s: %v ms is shorter than a picosecond", label, ms)
 	}
 	return t, nil
 }
 
-// ReplayWindows validates a -replay-windows count: 0 selects the default,
-// and an explicit count must cover the warmup window plus at least one
-// measured window.
-func ReplayWindows(n int) error {
+// ReplayWindows validates a replay-window count (-replay-windows or
+// MIRZA_REPLAY_WINDOWS, named by label): 0 selects the default, and an
+// explicit count must cover the warmup window plus at least one measured
+// window.
+func ReplayWindows(label string, n int) error {
 	if n != 0 && n < 2 {
-		return fmt.Errorf("-replay-windows: want 0 (default) or at least 2 tREFW windows, got %d", n)
+		return fmt.Errorf("%s: want 0 (default) or at least 2 tREFW windows, got %d", label, n)
 	}
 	return nil
 }
 
-// Workloads validates a comma-separated -workloads list against the
-// workload table. An empty list selects every workload (nil); otherwise
-// every name must be a known workload, so a typo or a stray comma fails
-// the command instead of being ignored or failing mid-run.
-func Workloads(list string) ([]string, error) {
+// Workloads validates a comma-separated workload list (-workloads or
+// MIRZA_WORKLOADS, named by label) against the workload table. An empty
+// list selects every workload (nil); otherwise every name must be a known
+// workload, so a typo or a stray comma fails the command instead of being
+// ignored or failing mid-run.
+func Workloads(label, list string) ([]string, error) {
 	if list == "" {
 		return nil, nil
 	}
 	names := strings.Split(list, ",")
 	for _, n := range names {
 		if _, err := trace.Lookup(n); err != nil {
-			return nil, fmt.Errorf("-workloads: unknown workload %q in %q (valid: %s)", n, list, strings.Join(trace.WorkloadNames(), ", "))
+			return nil, fmt.Errorf("%s: unknown workload %q in %q (valid: %s)", label, n, list, strings.Join(trace.WorkloadNames(), ", "))
 		}
 	}
 	return names, nil

@@ -167,7 +167,7 @@ func TestWindowMS(t *testing.T) {
 		{1e-12, true, 0, false}, // rounds to zero picoseconds
 	}
 	for _, tc := range tests {
-		got, err := WindowMS("measure-ms", tc.ms, tc.zeroOK)
+		got, err := WindowMS("-measure-ms", tc.ms, tc.zeroOK)
 		if (err == nil) != tc.ok {
 			t.Errorf("WindowMS(%v, zeroOK=%v) err = %v, want ok=%v", tc.ms, tc.zeroOK, err, tc.ok)
 			continue
@@ -197,7 +197,7 @@ func TestWorkloads(t *testing.T) {
 		{"xz, mcf", nil, `" mcf"`},
 		{"XZ", nil, `"XZ"`},
 	} {
-		got, err := Workloads(tc.list)
+		got, err := Workloads("-workloads", tc.list)
 		if tc.bad == "" {
 			if err != nil || !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("Workloads(%q) = %q, %v; want %q", tc.list, got, err, tc.want)
@@ -221,7 +221,7 @@ func TestReplayWindows(t *testing.T) {
 		n  int
 		ok bool
 	}{{0, true}, {2, true}, {16, true}, {1, false}, {-1, false}, {-3, false}} {
-		err := ReplayWindows(tc.n)
+		err := ReplayWindows("-replay-windows", tc.n)
 		if (err == nil) != tc.ok {
 			t.Errorf("ReplayWindows(%d) err = %v, want ok=%v", tc.n, err, tc.ok)
 		} else if err != nil && !strings.Contains(err.Error(), "-replay-windows") {

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each experiment is a function returning a typed Table that
-// cmd/mirza-bench renders; bench_test.go at the repository root exposes one
-// testing.B benchmark per experiment.
+// cmd/mirza-bench renders, printing each experiment's wall time on its
+// "took" line.
 //
 // Methodology (see DESIGN.md): slowdown experiments run the cycle-level
 // full-system simulator (internal/cpu + internal/mem) over a measurement
@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"mirza/internal/cliflags"
 	"mirza/internal/core"
 	"mirza/internal/dram"
 	"mirza/internal/fault"
@@ -124,8 +125,10 @@ type Options struct {
 
 // DefaultOptions returns full-fidelity settings, overridable through the
 // environment: MIRZA_MEASURE_MS, MIRZA_WARMUP_MS, MIRZA_REPLAY_WINDOWS,
-// MIRZA_WORKLOADS (comma-separated).
-func DefaultOptions() Options {
+// MIRZA_WORKLOADS (comma-separated) and MIRZA_PARALLELISM. Each variable
+// is checked by the rule of the matching mirza-bench flag (0 keeps the
+// default), and a malformed value is an error naming the variable.
+func DefaultOptions() (Options, error) {
 	o := Options{
 		Seed:              1,
 		Warmup:            dram.Millisecond / 2,
@@ -134,35 +137,72 @@ func DefaultOptions() Options {
 		CalibrationWindow: dram.Millisecond,
 		Cores:             8,
 	}
-	if v := os.Getenv("MIRZA_MEASURE_MS"); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 {
-			o.Measure = dram.Time(f * float64(dram.Millisecond))
-		}
+	var err error
+	if o.Measure, err = envMS("MIRZA_MEASURE_MS", o.Measure); err != nil {
+		return Options{}, err
 	}
-	if v := os.Getenv("MIRZA_WARMUP_MS"); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f >= 0 {
-			o.Warmup = dram.Time(f * float64(dram.Millisecond))
-		}
+	if o.Warmup, err = envMS("MIRZA_WARMUP_MS", o.Warmup); err != nil {
+		return Options{}, err
 	}
-	if v := os.Getenv("MIRZA_REPLAY_WINDOWS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 2 {
-			o.ReplayWindows = n
-		}
+	n, err := envInt("MIRZA_REPLAY_WINDOWS")
+	if err == nil {
+		err = cliflags.ReplayWindows("MIRZA_REPLAY_WINDOWS", n)
 	}
-	if v := os.Getenv("MIRZA_WORKLOADS"); v != "" {
-		o.Workloads = strings.Split(v, ",")
+	if err != nil {
+		return Options{}, err
 	}
-	return o
+	if n != 0 {
+		o.ReplayWindows = n
+	}
+	if o.Workloads, err = cliflags.Workloads("MIRZA_WORKLOADS", os.Getenv("MIRZA_WORKLOADS")); err != nil {
+		return Options{}, err
+	}
+	if o.Parallelism, err = envParallelism(); err != nil {
+		return Options{}, err
+	}
+	return o, nil
 }
 
-// envParallelism reads MIRZA_PARALLELISM (0 when unset or invalid).
-func envParallelism() int {
-	if v := os.Getenv("MIRZA_PARALLELISM"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
+// envMS reads the window in milliseconds in the environment variable
+// name, def when it is unset or 0.
+func envMS(name string, def dram.Time) (dram.Time, error) {
+	v := os.Getenv(name)
+	if v == "" {
+		return def, nil
 	}
-	return 0
+	ms, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %q is not a number of milliseconds", name, v)
+	}
+	t, err := cliflags.WindowMS(name, ms, true)
+	if err != nil || t > 0 {
+		return t, err
+	}
+	return def, nil
+}
+
+// envInt reads the integer in the environment variable name, 0 when it is
+// unset.
+func envInt(name string) (int, error) {
+	v := os.Getenv(name)
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %q is not an integer", name, v)
+	}
+	return n, nil
+}
+
+// envParallelism reads MIRZA_PARALLELISM, 0 (the default) when unset; like
+// -j, a negative worker count is an error.
+func envParallelism() (int, error) {
+	n, err := envInt("MIRZA_PARALLELISM")
+	if err == nil && n < 0 {
+		err = fmt.Errorf("MIRZA_PARALLELISM: worker count must be >= 0, got %d", n)
+	}
+	return n, err
 }
 
 // Quick shrinks o to smoke-run scale: tiny timing and calibration
@@ -170,7 +210,7 @@ func envParallelism() int {
 // knob Quick does not touch (seed, faults, parallelism, telemetry, ...)
 // carries over, so callers configure once and modify:
 //
-//	opts := experiments.DefaultOptions()
+//	opts, err := experiments.DefaultOptions()
 //	opts.Faults = plan
 //	opts = opts.Quick()
 func (o Options) Quick() Options {
@@ -200,7 +240,8 @@ func (o *Options) setDefaults() {
 		o.CalibrationWindow = dram.Millisecond
 	}
 	if o.Parallelism == 0 {
-		if n := envParallelism(); n > 0 {
+		// A malformed value reads as unset here; DefaultOptions reports it.
+		if n, err := envParallelism(); err == nil && n > 0 {
 			o.Parallelism = n
 		} else {
 			o.Parallelism = runtime.GOMAXPROCS(0)

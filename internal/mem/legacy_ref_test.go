@@ -12,11 +12,10 @@ import (
 // This file preserves the pre-redesign command path — array-of-structs
 // bank state, per-bank boolean scratch arrays, a wake at every timing
 // boundary — verbatim (minus the debug hooks, which were nil in
-// production). It serves two duties: the differential property test
-// checks that the struct-of-arrays fast-forward path issues exactly the
-// command stream the old implementation did, and the end-to-end fig3
-// benchmark uses it as the baseline BENCH_mem.json speedups are measured
-// against. Test-only: it is never linked into production binaries.
+// production), as a reference model: the differential property tests
+// check that the struct-of-arrays fast-forward path issues exactly the
+// command stream the old implementation did. Test-only: it is never
+// linked into production binaries.
 
 // legacyBankState is the old controller view of one DRAM bank.
 type legacyBankState struct {
@@ -31,8 +30,7 @@ type legacyBankState struct {
 }
 
 // LegacySubChannel is the pre-redesign sub-channel, kept as the reference
-// model. Exported (test-scope) so the external benchmark package can
-// drive it through cpu cores.
+// model.
 type LegacySubChannel struct {
 	k   *sim.Kernel
 	cfg Config

@@ -111,9 +111,14 @@ func NewRunner(cfg Config, gens []trace.Generator, mits []track.Mitigator) (*Run
 	}
 	// A core's clock is its cumulative instruction count over the per-core
 	// rate; one instruction must span a representable time, or the clock
-	// converts to garbage and Run never reaches its end time.
-	if step := 1 / (cfg.IPS / float64(len(gens))) * 1e12; !(step < math.MaxInt64) {
+	// converts to garbage and Run never reaches its end time, and at least
+	// one picosecond, or the clocks stall at 0 ps steps and Run crawls.
+	step := 1 / (cfg.IPS / float64(len(gens))) * 1e12
+	if !(step < math.MaxInt64) {
 		return nil, fmt.Errorf("replay: IPS %v over %d cores is too low: one instruction takes %v ps", cfg.IPS, len(gens), step)
+	}
+	if step < 1 {
+		return nil, fmt.Errorf("replay: IPS %v over %d cores is too high: one instruction takes %v ps", cfg.IPS, len(gens), step)
 	}
 	if mits == nil {
 		mits = make([]track.Mitigator, cfg.Geometry.SubChannels)

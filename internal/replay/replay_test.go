@@ -112,22 +112,27 @@ func TestReplayValidation(t *testing.T) {
 		t.Error("mitigator count mismatch must be rejected")
 	}
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		ok   bool
+		name  string
+		cfg   Config
+		cores int
+		ok    bool
 	}{
-		{"zero IPS", Config{}, false},
-		{"negative IPS", Config{IPS: -1e9}, false},
-		{"NaN IPS", Config{IPS: math.NaN()}, false},
-		{"+Inf IPS", Config{IPS: math.Inf(1)}, false},
-		{"-Inf IPS", Config{IPS: math.Inf(-1)}, false},
-		{"IPS too low to represent one instruction", Config{IPS: 1e-300}, false},
-		{"one instruction past 2^63 ps", Config{IPS: 2e-7}, false},
-		{"negative row-open window", Config{IPS: 1e9, RowOpenWindow: -1}, false},
-		{"slow but representable IPS", Config{IPS: 1}, true},
-		{"explicit row-open window", Config{IPS: 1e9, RowOpenWindow: dram.Nanosecond}, true},
+		{"zero IPS", Config{}, 2, false},
+		{"negative IPS", Config{IPS: -1e9}, 2, false},
+		{"NaN IPS", Config{IPS: math.NaN()}, 2, false},
+		{"+Inf IPS", Config{IPS: math.Inf(1)}, 2, false},
+		{"-Inf IPS", Config{IPS: math.Inf(-1)}, 2, false},
+		{"IPS too low to represent one instruction", Config{IPS: 1e-300}, 2, false},
+		{"one instruction past 2^63 ps", Config{IPS: 2e-7}, 2, false},
+		{"negative row-open window", Config{IPS: 1e9, RowOpenWindow: -1}, 2, false},
+		{"slow but representable IPS", Config{IPS: 1}, 2, true},
+		{"explicit row-open window", Config{IPS: 1e9, RowOpenWindow: dram.Nanosecond}, 2, true},
+		// One instruction per core must take at least one picosecond, or
+		// the core clocks never advance.
+		{"one instruction in exactly 1 ps", Config{IPS: 8e12}, 8, true},
+		{"one instruction in 0.8 ps", Config{IPS: 1e13}, 8, false},
 	} {
-		r, err := NewRunner(tc.cfg, gens(t, "mcf", 2), nil)
+		r, err := NewRunner(tc.cfg, gens(t, "mcf", tc.cores), nil)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
 			continue

@@ -77,7 +77,10 @@ func (b *ExperimentsBackend) Prepare(req *Request) (*Prepared, error) {
 		return nil, fmt.Errorf("timeout_ms must be >= 0")
 	}
 
-	opts := experiments.DefaultOptions()
+	opts, err := experiments.DefaultOptions()
+	if err != nil {
+		return nil, err
+	}
 	if req.Quick {
 		opts = opts.Quick()
 	}

@@ -6,7 +6,8 @@
 // event.go). Callers allocate an Event once, Bind it to a Handler, and
 // ScheduleEvent/Reschedule/Cancel it for the lifetime of the simulation:
 // steady-state scheduling performs zero heap allocations (the contract is
-// pinned by testing.AllocsPerRun in kernel_bench_test.go). One-shot
+// pinned by TestScheduleEventAllocFree in kernel_bench_test.go at the queue
+// depths BenchmarkKernel profiles). One-shot
 // closures can be bound through HandlerFunc; the caller still owns the
 // Event.
 package sim

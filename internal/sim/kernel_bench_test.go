@@ -9,11 +9,10 @@ import (
 
 // The BenchmarkKernel suite measures the scheduler hot path — pop one
 // event, fire it, schedule its successor — at several steady-state queue
-// depths, pairing the new reusable-event API (impl=event) against the
-// preserved pre-redesign container/heap closure scheduler (impl=legacy,
-// legacy_test.go). `make bench-smoke` runs it and cmd/benchjson turns the
-// output into BENCH_kernel.json with per-depth speedups and an
-// alloc-regression gate: impl=event must report 0 allocs/op.
+// depths. It is a profiling entry point, not a gate: TestScheduleEventAllocFree
+// pins the zero-allocation contract at the same depths, and simulator speed
+// is judged end to end by the bench/ module's compare against the parent
+// commit.
 
 // benchDeltas returns depth deterministic reschedule intervals (an LCG, so
 // heap paths vary without math/rand in the timed loop).
@@ -37,101 +36,68 @@ type benchTick struct {
 
 func (t *benchTick) Fire(now dram.Time) { t.k.ScheduleEvent(&t.ev, now+t.delta) }
 
-func BenchmarkKernel(b *testing.B) {
-	for _, depth := range []int{16, 256, 4096} {
-		b.Run(fmt.Sprintf("impl=event/depth=%d", depth), func(b *testing.B) {
-			var k Kernel
-			deltas := benchDeltas(depth)
-			ticks := make([]benchTick, depth)
-			for i := range ticks {
-				ticks[i].k = &k
-				ticks[i].delta = deltas[i]
-				ticks[i].ev.Bind(&ticks[i])
-				k.ScheduleEvent(&ticks[i].ev, dram.Time(i))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k.Step()
-			}
-		})
-		b.Run(fmt.Sprintf("impl=legacy/depth=%d", depth), func(b *testing.B) {
-			var k legacyKernel
-			deltas := benchDeltas(depth)
-			// The old hot path: every schedule boxes a fresh closure into
-			// container/heap, exactly as mem.requestWake and cpu timed
-			// wakes did before the redesign.
-			var tick func(idx int) func()
-			tick = func(idx int) func() {
-				return func() { k.Schedule(k.now+deltas[idx], tick(idx)) }
-			}
-			for i := 0; i < depth; i++ {
-				k.Schedule(dram.Time(i), tick(i))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k.Step()
-			}
-		})
-	}
-}
-
-// BenchmarkKernelReschedule measures the requestWake pattern — pulling a
-// pending timer earlier — which the old API could only express by piling
-// up superseded closures.
-func BenchmarkKernelReschedule(b *testing.B) {
-	const depth = 256
-	b.Run("impl=event", func(b *testing.B) {
-		var k Kernel
-		deltas := benchDeltas(depth)
-		ticks := make([]benchTick, depth)
-		for i := range ticks {
-			ticks[i].k = &k
-			ticks[i].delta = deltas[i]
-			ticks[i].ev.Bind(&ticks[i])
-			k.ScheduleEvent(&ticks[i].ev, dram.Time(i+1))
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			t := &ticks[i%depth]
-			k.Reschedule(&t.ev, k.Now()+t.delta)
-		}
-	})
-	b.Run("impl=legacy", func(b *testing.B) {
-		var k legacyKernel
-		deltas := benchDeltas(depth)
-		for i := 0; i < depth; i++ {
-			k.scheduleID(dram.Time(i+1), i)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			k.rescheduleID(k.now+deltas[i%depth], i%depth)
-		}
-	})
-}
-
-// TestScheduleEventAllocFree pins the zero-allocation contract: a
-// steady-state pop+fire+reschedule cycle over reusable events performs no
-// heap allocations at all.
-func TestScheduleEventAllocFree(t *testing.T) {
-	var k Kernel
-	deltas := benchDeltas(64)
-	ticks := make([]benchTick, 64)
+// benchTicks queues depth self-rescheduling ticks on k, the i-th first
+// firing at first+i.
+func benchTicks(k *Kernel, depth int, first dram.Time) []benchTick {
+	deltas := benchDeltas(depth)
+	ticks := make([]benchTick, depth)
 	for i := range ticks {
-		ticks[i].k = &k
+		ticks[i].k = k
 		ticks[i].delta = deltas[i]
 		ticks[i].ev.Bind(&ticks[i])
-		k.ScheduleEvent(&ticks[i].ev, dram.Time(i))
+		k.ScheduleEvent(&ticks[i].ev, first+dram.Time(i))
 	}
-	if allocs := testing.AllocsPerRun(10000, func() { k.Step() }); allocs != 0 {
-		t.Fatalf("steady-state Step+ScheduleEvent allocated %v times per event, want 0", allocs)
+	return ticks
+}
+
+// kernelDepths are the steady-state queue depths the suite measures.
+var kernelDepths = []int{16, 256, 4096}
+
+func BenchmarkKernel(b *testing.B) {
+	for _, depth := range kernelDepths {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			var k Kernel
+			benchTicks(&k, depth, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Step()
+			}
+		})
 	}
-	if allocs := testing.AllocsPerRun(10000, func() {
-		k.Reschedule(&ticks[0].ev, k.Now()+ticks[0].delta)
-	}); allocs != 0 {
-		t.Fatalf("Reschedule allocated %v times per call, want 0", allocs)
+}
+
+// BenchmarkKernelReschedule measures the requestWake pattern: pulling a
+// pending timer earlier.
+func BenchmarkKernelReschedule(b *testing.B) {
+	const depth = 256
+	var k Kernel
+	ticks := benchTicks(&k, depth, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := &ticks[i%depth]
+		k.Reschedule(&t.ev, k.Now()+t.delta)
+	}
+}
+
+// TestScheduleEventAllocFree pins the zero-allocation contract at every
+// depth BenchmarkKernel measures: a steady-state pop+fire+reschedule cycle
+// over reusable events, and a Reschedule of a pending event, perform no
+// heap allocations at all.
+func TestScheduleEventAllocFree(t *testing.T) {
+	for _, depth := range kernelDepths {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			var k Kernel
+			ticks := benchTicks(&k, depth, 0)
+			if allocs := testing.AllocsPerRun(10000, func() { k.Step() }); allocs != 0 {
+				t.Fatalf("steady-state Step+ScheduleEvent allocated %v times per event, want 0", allocs)
+			}
+			if allocs := testing.AllocsPerRun(10000, func() {
+				k.Reschedule(&ticks[0].ev, k.Now()+ticks[0].delta)
+			}); allocs != 0 {
+				t.Fatalf("Reschedule allocated %v times per call, want 0", allocs)
+			}
+		})
 	}
 }

@@ -6,20 +6,18 @@ import (
 	"mirza/internal/dram"
 )
 
-// This file preserves the pre-redesign scheduler — a container/heap binary
-// heap of one-shot closures — as a reference model. It serves two duties:
-// the property test checks that the monomorphic 4-ary heap pops events in
-// exactly the order the old implementation did (including same-time FIFO
-// ties and interleaved Cancel/Reschedule), and the benchmark suite uses it
-// as the baseline the new kernel's speedup is measured against.
+// This file preserves the pre-redesign scheduler's ordering — a
+// container/heap binary heap keyed by (time, sequence) — as a reference
+// model: the property test checks that the monomorphic 4-ary heap pops
+// events in exactly the order the old implementation did (including
+// same-time FIFO ties and interleaved Cancel/Reschedule).
 
-// legacyEvent is one scheduled callback, keyed by (at, seq) with id
-// carried for order comparison in the property test.
+// legacyEvent is one scheduled event, keyed by (at, seq) with id carried
+// for order comparison in the property test.
 type legacyEvent struct {
 	at  dram.Time
 	seq uint64 // tie-breaker: FIFO among simultaneous events
 	id  int
-	fn  func()
 }
 
 type legacyHeap []legacyEvent
@@ -41,17 +39,13 @@ func (h *legacyHeap) Pop() any {
 	return e
 }
 
-// legacyKernel is the old closure-based scheduler verbatim (modulo the
-// past-time panic, which the reference never triggers).
+// legacyKernel is the old scheduler's queue discipline with id-tagged
+// events in place of closures (modulo the past-time panic, which the
+// reference never triggers).
 type legacyKernel struct {
 	now    dram.Time
 	seq    uint64
 	events legacyHeap
-}
-
-func (k *legacyKernel) Schedule(at dram.Time, fn func()) {
-	k.seq++
-	heap.Push(&k.events, legacyEvent{at: at, seq: k.seq, fn: fn})
 }
 
 // scheduleID queues an id-tagged event (property-test reference mirror).
@@ -85,18 +79,6 @@ func (k *legacyKernel) rescheduleID(at dram.Time, id int) {
 		}
 	}
 	k.scheduleID(at, id)
-}
-
-func (k *legacyKernel) Step() bool {
-	if len(k.events) == 0 {
-		return false
-	}
-	e := heap.Pop(&k.events).(legacyEvent)
-	k.now = e.at
-	if e.fn != nil {
-		e.fn()
-	}
-	return true
 }
 
 // popID pops the earliest event, returning its (id, time).
