@@ -16,7 +16,6 @@ import (
 	"mirza/internal/replay"
 	"mirza/internal/sim"
 	"mirza/internal/trace"
-	"mirza/internal/track"
 )
 
 func quickOpts() Options {
@@ -263,25 +262,86 @@ func replayMitigations(t *testing.T, opts Options) (alerts, mitig int64, log *fa
 		t.Fatal(err)
 	}
 	cfg.Seed = 1
-	mits, err := x.warmMirza("xz", cfg)
+	mits, res, err := x.replayMirza("xz", cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	asMit := make([]track.Mitigator, len(mits))
-	for i, m := range mits {
-		asMit[i] = m
-	}
-	_, measured, _, err := x.replayRun("xz", asMit, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range measured {
+	for _, s := range res.measured {
 		alerts += s.Alerts
 	}
 	for _, m := range mits {
 		mitig += m.Stats.Mitigations
 	}
 	return alerts, mitig, x.log
+}
+
+// TestReplayCanceled: a replay pass whose job context is already canceled
+// returns context.Canceled, naming the workload and the phase, without
+// computing a baseline or replaying an activation.
+func TestReplayCanceled(t *testing.T) {
+	r := NewRunner(quickOpts())
+	x := r.newExec()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	x.ctx = ctx
+	cfg, err := core.ForTRHD(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mits, err := mirzaMits(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		kind  passKind
+		phase string
+	}{{warmPass, "warm-up"}, {measurePass, "measured"}, {probePass, "measured"}} {
+		_, err := x.replay("xz", replayPass{kind: tc.kind, mits: asMitigators(mits)})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s pass: got %v, want context.Canceled", tc.phase, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "xz") || !strings.Contains(msg, tc.phase) {
+			t.Errorf("error does not name the workload and the %s phase: %v", tc.phase, err)
+		}
+	}
+	for i, m := range mits {
+		if m.Stats.ACTs != 0 {
+			t.Errorf("sub-channel %d saw %d ACTs under a canceled context", i, m.Stats.ACTs)
+		}
+	}
+	r.mu.Lock()
+	calibrations := r.calibrations["xz"]
+	r.mu.Unlock()
+	if calibrations != 0 {
+		t.Errorf("a canceled replay computed the xz baseline %d times", calibrations)
+	}
+}
+
+// TestReplayCanceledBetweenWindows: a job canceled during the unmeasured
+// first window stops before the measured windows.
+func TestReplayCanceledBetweenWindows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays a refresh window")
+	}
+	x := NewRunner(quickOpts()).newExec()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	x.ctx = ctx
+	var measured int
+	_, err := x.replay("xz", replayPass{
+		kind:      measurePass,
+		afterWarm: cancel,
+		obs:       func(sub, bank, row int, now dram.Time) { measured++ },
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if !strings.Contains(err.Error(), "window 2 of 2") {
+		t.Errorf("error does not name the window it stopped before: %v", err)
+	}
+	if measured != 0 {
+		t.Errorf("%d measured ACTs replayed after the cancel", measured)
+	}
 }
 
 func TestEmptyPlanIsBitIdentical(t *testing.T) {

@@ -329,15 +329,8 @@ func (r *Runner) Table9() (*Table, error) {
 						return cell{}, err
 					}
 					// Escape fraction from a replay pass.
-					mits, err := x.warmMirza(spec.Name, cfg)
+					mits, _, err := x.replayMirza(spec.Name, cfg, nil)
 					if err != nil {
-						return cell{}, err
-					}
-					asMit := make([]track.Mitigator, len(mits))
-					for i, m := range mits {
-						asMit[i] = m
-					}
-					if _, _, _, err := x.replayRun(spec.Name, asMit, nil); err != nil {
 						return cell{}, err
 					}
 					c := cell{sd: sd}
