@@ -15,8 +15,11 @@ SHORT_ENV = MIRZA_MEASURE_MS=0.2 MIRZA_WARMUP_MS=0.1 MIRZA_REPLAY_WINDOWS=2 MIRZ
 
 check: vet build test-race test-telemetry
 
+# vet also fails when any Go file in the tree, bench/ included, is not
+# gofmt-clean, and lists those files.
 vet:
 	$(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "not gofmt-clean:"; gofmt -l .; exit 1; }
 
 build:
 	$(GO) build ./...

@@ -5,8 +5,8 @@ import (
 
 	"mirza/internal/attack"
 	"mirza/internal/dram"
-	"mirza/internal/track"
 	"mirza/internal/trace"
+	"mirza/internal/track"
 	"mirza/internal/vmap"
 )
 
