@@ -29,15 +29,14 @@ type MoPACConfig struct {
 // sampling noise: the ALERT threshold must be derated, and the DRAM-array
 // counter area remains (Section X). It is included as an extension
 // baseline for the design-space ablations.
+//
+// MoPAC sits on the same ALERT-Back-Off core as PRAC but is not a
+// StateInjector: fault plans draw no counter flips for it.
 type MoPAC struct {
-	cfg      MoPACConfig
-	sink     Sink
-	rng      *stats.RNG
-	inc      int
-	counters [][]int32
-	pending  [][]int
-	want     bool
-	Stats    Stats
+	abo
+	cfg MoPACConfig
+	rng *stats.RNG
+	inc int
 }
 
 var _ Mitigator = (*MoPAC)(nil)
@@ -73,29 +72,27 @@ func sqrtf(v float64) float64 {
 
 // NewMoPAC builds the MoPAC baseline.
 func NewMoPAC(cfg MoPACConfig, sink Sink) *MoPAC {
-	if sink == nil {
-		sink = NopSink{}
-	}
 	if cfg.SampleProb <= 0 || cfg.SampleProb > 1 {
 		panic(fmt.Sprintf("track: MoPAC sample probability %v out of (0,1]", cfg.SampleProb))
 	}
-	if cfg.AlertThreshold < 1 {
-		panic("track: MoPAC alert threshold must be >= 1")
+	inc := MoPACIncrement(cfg.SampleProb)
+	if cfg.AlertThreshold < 1 || cfg.AlertThreshold+inc-1 > MaxRowCount {
+		panic(fmt.Sprintf("track: MoPAC alert threshold %d plus increment %d - 1 must be in [1, %d]",
+			cfg.AlertThreshold, inc, MaxRowCount))
 	}
-	m := &MoPAC{
-		cfg:  cfg,
-		sink: sink,
-		rng:  stats.NewRNG(cfg.Seed ^ 0x4d6f504143),
-		inc:  int(1/cfg.SampleProb + 0.5),
+	return &MoPAC{
+		abo: newABO(cfg.Geometry, cfg.Mapping, cfg.AlertThreshold, sink),
+		cfg: cfg,
+		rng: stats.NewRNG(cfg.Seed ^ 0x4d6f504143),
+		inc: inc,
 	}
-	banks := cfg.Geometry.BanksPerSubChannel
-	m.counters = make([][]int32, banks)
-	m.pending = make([][]int, banks)
-	for b := range m.counters {
-		m.counters[b] = make([]int32, cfg.Geometry.RowsPerBank)
-	}
-	return m
 }
+
+// MoPACIncrement is the amount a sampled update adds to a row's counter at
+// sample probability p: 1/p rounded, so the estimate stays unbiased. A
+// counter below the ALERT threshold ath grows to at most ath+inc-1, which
+// must fit in MaxRowCount.
+func MoPACIncrement(p float64) int { return int(1/p + 0.5) }
 
 // Name implements Mitigator.
 func (m *MoPAC) Name() string {
@@ -108,90 +105,5 @@ func (m *MoPAC) OnActivate(bank, row int, now dram.Time) {
 	if m.rng.Float64() >= m.cfg.SampleProb {
 		return
 	}
-	c := m.counters[bank]
-	if int(c[row]) >= m.cfg.AlertThreshold {
-		return
-	}
-	c[row] += int32(m.inc)
-	if int(c[row]) >= m.cfg.AlertThreshold {
-		m.pending[bank] = append(m.pending[bank], row)
-		m.Stats.Insertions++
-		if !m.want {
-			m.want = true
-			m.Stats.AlertsWanted++
-		}
-	}
-}
-
-// WantsALERT implements Mitigator.
-func (m *MoPAC) WantsALERT() bool { return m.want }
-
-// OnREF implements Mitigator.
-func (m *MoPAC) OnREF(refIndex int, now dram.Time) {
-	g := m.cfg.Geometry
-	t := g.RefreshTargetOf(refIndex)
-	for idx := t.FirstIdx; idx <= t.LastIdx; idx++ {
-		row := g.RowAt(m.cfg.Mapping, t.Subarray, idx)
-		for b := range m.counters {
-			if int(m.counters[b][row]) >= m.cfg.AlertThreshold {
-				m.removePending(b, row)
-			}
-			m.counters[b][row] = 0
-		}
-	}
-	m.recomputeWant()
-}
-
-// OnRFM implements Mitigator.
-func (m *MoPAC) OnRFM(bank int, now dram.Time) {
-	m.Stats.RFMs++
-	m.mitigateOne(bank, now)
-	m.recomputeWant()
-}
-
-// ServiceALERT implements Mitigator.
-func (m *MoPAC) ServiceALERT(now dram.Time) {
-	for b := range m.pending {
-		m.mitigateOne(b, now)
-	}
-	m.recomputeWant()
-}
-
-func (m *MoPAC) mitigateOne(bank int, now dram.Time) {
-	q := m.pending[bank]
-	if len(q) == 0 {
-		return
-	}
-	row := q[0]
-	m.pending[bank] = q[1:]
-	m.counters[bank][row] = 0
-	m.Stats.Mitigations++
-	m.sink.RowMitigated(bank, row, MitigationVictims, now)
-}
-
-func (m *MoPAC) removePending(bank, row int) {
-	q := m.pending[bank]
-	for i, r := range q {
-		if r == row {
-			m.pending[bank] = append(q[:i], q[i+1:]...)
-			m.Stats.Evictions++
-			return
-		}
-	}
-}
-
-// TrackStats implements StatsSource.
-func (m *MoPAC) TrackStats() Stats { return m.Stats }
-
-func (m *MoPAC) recomputeWant() {
-	for _, q := range m.pending {
-		if len(q) > 0 {
-			if !m.want {
-				m.want = true
-				m.Stats.AlertsWanted++
-			}
-			return
-		}
-	}
-	m.want = false
+	m.bump(m.rows.Counter(bank, row), bank, row, m.inc)
 }

@@ -10,16 +10,29 @@ import (
 func TestMoPACEstimateUnbiased(t *testing.T) {
 	m := NewMoPAC(MoPACConfig{
 		Geometry: dram.Default(), Mapping: dram.StridedR2SA,
-		SampleProb: 0.25, AlertThreshold: 1 << 30, Seed: 3,
+		SampleProb: 0.25, AlertThreshold: MaxRowCount - 3, Seed: 3,
 	}, nil)
 	row := 777
 	const n = 40000
 	for i := 0; i < n; i++ {
 		m.OnActivate(0, row, 0)
 	}
-	got := float64(m.counters[0][row])
+	got := float64(m.rows.Get(0, row))
 	if math.Abs(got-n) > 0.05*n {
 		t.Errorf("estimated count %v after %d ACTs, want within 5%%", got, n)
+	}
+}
+
+// TestMoPACIsNotStateInjector pins that MoPAC does not pick up a fault
+// hook from the ABO core it shares with PRAC: a bit-flip plan draws
+// nothing for it, so adding one would move every fault log it appears in.
+func TestMoPACIsNotStateInjector(t *testing.T) {
+	var m Mitigator = NewMoPAC(MoPACConfig{
+		Geometry: dram.Default(), Mapping: dram.StridedR2SA,
+		SampleProb: 0.5, AlertThreshold: 10, Seed: 1,
+	}, nil)
+	if _, ok := m.(StateInjector); ok {
+		t.Error("MoPAC implements StateInjector")
 	}
 }
 
@@ -75,7 +88,7 @@ func TestMoPACRefreshResets(t *testing.T) {
 	if m.WantsALERT() {
 		t.Error("refresh of the row must clear the pending alert")
 	}
-	if m.counters[0][row] != 0 {
+	if m.rows.Get(0, row) != 0 {
 		t.Error("counter not reset")
 	}
 }

@@ -48,8 +48,8 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if ath < 1 {
-				return nil, fmt.Errorf("ath must be >= 1, got %d", ath)
+			if ath < 1 || ath > track.MaxRowCount {
+				return nil, fmt.Errorf("ath must be in [1, %d] (16-bit counters), got %d", track.MaxRowCount, ath)
 			}
 			return track.NewPRAC(track.PRACConfig{
 				Geometry:       cfg.Geometry,
@@ -260,6 +260,9 @@ func init() {
 			}
 			if ath < 1 {
 				return nil, fmt.Errorf("ath must be >= 1, got %d", ath)
+			}
+			if inc := track.MoPACIncrement(p); ath+inc-1 > track.MaxRowCount {
+				return nil, fmt.Errorf("ath + round(1/p) - 1 = %d exceeds %d (16-bit counters)", ath+inc-1, track.MaxRowCount)
 			}
 			return track.NewMoPAC(track.MoPACConfig{
 				Geometry:       cfg.Geometry,

@@ -27,10 +27,10 @@ type OracleConfig struct {
 
 // Oracle tracks every row of every bank exactly.
 type Oracle struct {
-	cfg      OracleConfig
-	sink     track.Sink
-	counters [][]uint16 // [bank][row]
-	Stats    track.Stats
+	cfg   OracleConfig
+	sink  track.Sink
+	rows  track.RowCounters
+	Stats track.Stats
 }
 
 var (
@@ -41,18 +41,13 @@ var (
 
 // NewOracle builds the oracle upper bound.
 func NewOracle(cfg OracleConfig, sink track.Sink) (*Oracle, error) {
-	if cfg.Threshold < 1 || cfg.Threshold > 0xffff {
-		return nil, fmt.Errorf("oracle: threshold must be in [1, 65535], got %d", cfg.Threshold)
+	if cfg.Threshold < 1 || cfg.Threshold > track.MaxRowCount {
+		return nil, fmt.Errorf("oracle: threshold must be in [1, %d], got %d", track.MaxRowCount, cfg.Threshold)
 	}
 	if sink == nil {
 		sink = track.NopSink{}
 	}
-	o := &Oracle{cfg: cfg, sink: sink}
-	o.counters = make([][]uint16, cfg.Geometry.BanksPerSubChannel)
-	for i := range o.counters {
-		o.counters[i] = make([]uint16, cfg.Geometry.RowsPerBank)
-	}
-	return o, nil
+	return &Oracle{cfg: cfg, sink: sink, rows: track.NewRowCounters(cfg.Geometry, cfg.Mapping)}, nil
 }
 
 // Name implements track.Mitigator.
@@ -62,10 +57,10 @@ func (o *Oracle) Name() string { return fmt.Sprintf("Oracle(T=%d)", o.cfg.Thresh
 // at the threshold.
 func (o *Oracle) OnActivate(bank, row int, now dram.Time) {
 	o.Stats.ACTs++
-	c := o.counters[bank]
-	c[row]++
-	if int(c[row]) >= o.cfg.Threshold {
-		c[row] = 0
+	c := o.rows.Counter(bank, row)
+	*c++
+	if int(*c) >= o.cfg.Threshold {
+		*c = 0
 		o.Stats.Mitigations++
 		o.sink.RowMitigated(bank, row, track.MitigationVictims, now)
 	}
@@ -76,16 +71,7 @@ func (o *Oracle) WantsALERT() bool { return false }
 
 // OnREF implements track.Mitigator: a demand refresh resets the disturbance
 // of the refreshed rows, so their counters clear (same bookkeeping as PRAC).
-func (o *Oracle) OnREF(refIndex int, now dram.Time) {
-	g := o.cfg.Geometry
-	target := g.RefreshTargetOf(refIndex)
-	for idx := target.FirstIdx; idx <= target.LastIdx; idx++ {
-		row := g.RowAt(o.cfg.Mapping, target.Subarray, idx)
-		for bank := range o.counters {
-			o.counters[bank][row] = 0
-		}
-	}
-}
+func (o *Oracle) OnREF(refIndex int, now dram.Time) { o.rows.Refresh(refIndex, nil) }
 
 // OnRFM implements track.Mitigator; the oracle does not need RFM.
 func (o *Oracle) OnRFM(bank int, now dram.Time) { o.Stats.RFMs++ }
@@ -99,10 +85,7 @@ func (o *Oracle) TrackStats() track.Stats { return o.Stats }
 // InjectStateFault implements track.StateInjector: one bit of one exact
 // counter flips (the oracle's "SRAM" is the full counter array).
 func (o *Oracle) InjectStateFault(rng *stats.RNG) string {
-	bank := rng.Intn(len(o.counters))
-	row := rng.Intn(len(o.counters[bank]))
-	bit := rng.Intn(16)
-	o.counters[bank][row] ^= 1 << bit
+	bank, row, bit := o.rows.Flip(rng, 16)
 	return fmt.Sprintf("oracle[bank=%d].counter[row=%d] bit %d", bank, row, bit)
 }
 

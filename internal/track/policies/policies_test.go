@@ -2,6 +2,7 @@ package policies
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"mirza/internal/core"
@@ -137,6 +138,44 @@ func TestInstancesExposeStats(t *testing.T) {
 		}
 		if track.Source(m) == nil {
 			t.Errorf("%s: instance exposes no StatsSource", name)
+		}
+	}
+}
+
+// TestPerRowThresholdsFitCounters pins the 16-bit limit of the per-row
+// counters: PRAC alerts after exactly ATH ACTs at the largest ATH they
+// hold, and thresholds a counter could not reach fail to build, naming the
+// limit, instead of wrapping silently.
+func TestPerRowThresholdsFitCounters(t *testing.T) {
+	cfg := track.Config{Geometry: dram.Default(), Mapping: dram.StridedR2SA, TRHD: 1000, Seed: 1}
+	b, err := track.Build("prac", map[string]string{"ath": "65535"}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := b.NewMitigator(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= track.MaxRowCount; i++ {
+		m.OnActivate(0, 42, 0)
+		if m.WantsALERT() != (i == track.MaxRowCount) {
+			t.Fatalf("prac:ath=65535: WantsALERT = %v after %d ACTs", m.WantsALERT(), i)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		params map[string]string
+	}{
+		{"prac", map[string]string{"ath": "65536"}},
+		{"mopac", map[string]string{"ath": "65535", "p": "0.5"}},
+		{"mopac", map[string]string{"p": "0.00001", "ath": "100"}},
+	} {
+		b, err := track.Build(c.name, c.params, cfg)
+		if err == nil {
+			_, err = b.NewMitigator(0, nil)
+		}
+		if err == nil || !strings.Contains(err.Error(), "65535") {
+			t.Errorf("%s %v: error %v, want one naming the limit 65535", c.name, c.params, err)
 		}
 	}
 }

@@ -33,168 +33,36 @@ func ATHForTRHD(trhd int) int {
 
 // PRAC models Per-Row Activation Counting with ALERT-Back-Off, in the style
 // of MOAT: every row has an activation counter (stored in the DRAM array;
-// here plain memory), incremented on each ACT. When any counter reaches the
-// ALERT threshold the device asserts ALERT; servicing the ALERT mitigates
-// the offending row in each bank and resets its counter. Counters reset
-// when their row is refreshed.
+// here a RowCounters store), incremented on each ACT. When any counter
+// reaches the ALERT threshold the device asserts ALERT; servicing the ALERT
+// mitigates the offending row in each bank and resets its counter. Counters
+// reset when their row is refreshed.
 //
 // The performance cost of PRAC comes from its inflated timings (dram.PRAC),
 // which the memory controller applies when this mitigator is selected; the
 // tracker itself is mitigation-silent for benign workloads at the paper's
 // thresholds.
-//
-// The counters are held in chunks of pracChunkRows rows, allocated when a
-// row of the chunk first activates; an absent chunk reads as all zeros. A
-// dense array would be 8 MiB per sub-channel at the default geometry, and
-// how much of it is resident would depend on where the Go heap placed it
-// and on the scavenger's timing, so peak memory would vary from run to
-// run. A simulation activates a small share of the rows, and the counters'
-// footprint follows the rows it activates.
 type PRAC struct {
-	cfg      PRACConfig
-	sink     Sink
-	counters [][]*pracChunk // [bank][row/pracChunkRows], nil until activated
-	pending  [][]int        // rows at/above ATH awaiting mitigation, per bank
-	want     bool
-	Stats    Stats
+	abo
 }
-
-// pracChunkRows is how many rows' counters PRAC allocates at once.
-const pracChunkRows = 1024
-
-type pracChunk [pracChunkRows]uint16
 
 var _ Mitigator = (*PRAC)(nil)
 
 // NewPRAC builds a PRAC+ABO mitigator.
 func NewPRAC(cfg PRACConfig, sink Sink) *PRAC {
-	if sink == nil {
-		sink = NopSink{}
+	if cfg.AlertThreshold < 1 || cfg.AlertThreshold > MaxRowCount {
+		panic(fmt.Sprintf("track: PRAC alert threshold must be in [1, %d], got %d", MaxRowCount, cfg.AlertThreshold))
 	}
-	if cfg.AlertThreshold < 1 {
-		panic(fmt.Sprintf("track: PRAC alert threshold must be >= 1, got %d", cfg.AlertThreshold))
-	}
-	p := &PRAC{cfg: cfg, sink: sink}
-	banks := cfg.Geometry.BanksPerSubChannel
-	p.counters = make([][]*pracChunk, banks)
-	p.pending = make([][]int, banks)
-	chunks := (cfg.Geometry.RowsPerBank + pracChunkRows - 1) / pracChunkRows
-	for b := range p.counters {
-		p.counters[b] = make([]*pracChunk, chunks)
-	}
-	return p
-}
-
-// counter returns row's counter in bank, allocating its chunk on first use.
-func (p *PRAC) counter(bank, row int) *uint16 {
-	cs := p.counters[bank]
-	c := cs[row/pracChunkRows]
-	if c == nil {
-		c = new(pracChunk)
-		cs[row/pracChunkRows] = c
-	}
-	return &c[row%pracChunkRows]
+	return &PRAC{newABO(cfg.Geometry, cfg.Mapping, cfg.AlertThreshold, sink)}
 }
 
 // Name implements Mitigator.
-func (p *PRAC) Name() string { return fmt.Sprintf("PRAC+ABO(ATH=%d)", p.cfg.AlertThreshold) }
+func (p *PRAC) Name() string { return fmt.Sprintf("PRAC+ABO(ATH=%d)", p.ath) }
 
 // OnActivate implements Mitigator.
 func (p *PRAC) OnActivate(bank, row int, now dram.Time) {
 	p.Stats.ACTs++
-	c := p.counter(bank, row)
-	if int(*c) >= p.cfg.AlertThreshold {
-		// Already pending; nothing more to record (saturate).
-		return
-	}
-	*c++
-	if int(*c) >= p.cfg.AlertThreshold {
-		p.pending[bank] = append(p.pending[bank], row)
-		p.Stats.Insertions++
-		if !p.want {
-			p.want = true
-			p.Stats.AlertsWanted++
-		}
-	}
-}
-
-// WantsALERT implements Mitigator.
-func (p *PRAC) WantsALERT() bool { return p.want }
-
-// OnREF implements Mitigator: the rows refreshed by this REF have their
-// counters cleared in every bank.
-func (p *PRAC) OnREF(refIndex int, now dram.Time) {
-	g := p.cfg.Geometry
-	t := g.RefreshTargetOf(refIndex)
-	for idx := t.FirstIdx; idx <= t.LastIdx; idx++ {
-		row := g.RowAt(p.cfg.Mapping, t.Subarray, idx)
-		for b, cs := range p.counters {
-			c := cs[row/pracChunkRows]
-			if c == nil {
-				continue
-			}
-			if int(c[row%pracChunkRows]) >= p.cfg.AlertThreshold {
-				p.removePending(b, row)
-			}
-			c[row%pracChunkRows] = 0
-		}
-	}
-	p.recomputeWant()
-}
-
-// OnRFM implements Mitigator: PRAC uses reactive mitigation only, but an
-// unsolicited RFM opportunity still drains one pending row for the bank.
-func (p *PRAC) OnRFM(bank int, now dram.Time) {
-	p.Stats.RFMs++
-	p.mitigateOne(bank, now)
-	p.recomputeWant()
-}
-
-// ServiceALERT implements Mitigator: each bank mitigates one pending row.
-func (p *PRAC) ServiceALERT(now dram.Time) {
-	for b := range p.pending {
-		p.mitigateOne(b, now)
-	}
-	p.recomputeWant()
-}
-
-func (p *PRAC) mitigateOne(bank int, now dram.Time) {
-	q := p.pending[bank]
-	if len(q) == 0 {
-		return
-	}
-	row := q[0]
-	p.pending[bank] = q[1:]
-	*p.counter(bank, row) = 0
-	p.Stats.Mitigations++
-	p.sink.RowMitigated(bank, row, MitigationVictims, now)
-}
-
-func (p *PRAC) removePending(bank, row int) {
-	q := p.pending[bank]
-	for i, r := range q {
-		if r == row {
-			p.pending[bank] = append(q[:i], q[i+1:]...)
-			p.Stats.Evictions++
-			return
-		}
-	}
-}
-
-// TrackStats implements StatsSource.
-func (p *PRAC) TrackStats() Stats { return p.Stats }
-
-func (p *PRAC) recomputeWant() {
-	for _, q := range p.pending {
-		if len(q) > 0 {
-			if !p.want {
-				p.want = true
-				p.Stats.AlertsWanted++
-			}
-			return
-		}
-	}
-	p.want = false
+	p.bump(p.rows.Counter(bank, row), bank, row, 1)
 }
 
 // InjectStateFault implements StateInjector: it flips one low-order bit of
@@ -205,26 +73,124 @@ func (p *PRAC) recomputeWant() {
 // OnActivate (the counter saturates silently) — both are the corruptions
 // whose effect on the security margin the fault harness measures.
 func (p *PRAC) InjectStateFault(rng *stats.RNG) string {
-	bank := rng.Intn(len(p.counters))
-	row := rng.Intn(p.cfg.Geometry.RowsPerBank)
-	bit := rng.Intn(12) // ATH values need at most 12 bits
-	*p.counter(bank, row) ^= 1 << bit
+	bank, row, bit := p.rows.Flip(rng, 12) // ATH values need at most 12 bits
 	return fmt.Sprintf("prac[bank=%d][row=%d] bit %d", bank, row, bit)
 }
 
 // MaxCounter returns the largest per-row counter value currently held in
 // bank (useful for tests and attack analyses).
-func (p *PRAC) MaxCounter(bank int) int {
-	max := 0
-	for _, c := range p.counters[bank] {
-		if c == nil {
-			continue
-		}
-		for _, v := range c {
-			if int(v) > max {
-				max = int(v)
-			}
+func (p *PRAC) MaxCounter(bank int) int { return p.rows.Max(bank) }
+
+// abo is the ALERT-Back-Off core PRAC and MoPAC share: per-row counters,
+// a FIFO per bank of the rows whose counter reached the ALERT threshold,
+// and the ALERT, RFM and REF handling that drains it. Each policy adds its
+// own OnActivate, which counts the ACT and bumps the row's counter.
+type abo struct {
+	rows    RowCounters
+	sink    Sink
+	ath     int
+	pending [][]int // rows at/above ath awaiting mitigation, per bank
+	want    bool
+	Stats   Stats
+}
+
+func newABO(g dram.Geometry, mapping dram.R2SAMapping, ath int, sink Sink) abo {
+	if sink == nil {
+		sink = NopSink{}
+	}
+	return abo{
+		rows:    NewRowCounters(g, mapping),
+		sink:    sink,
+		ath:     ath,
+		pending: make([][]int, g.BanksPerSubChannel),
+	}
+}
+
+// bump adds inc to c, row's counter in bank, unless it already reached the
+// ALERT threshold (the row is then pending; the counter saturates), and
+// queues the row and raises ALERT when the addition reaches it. The caller
+// looks the counter up, so that both the lookup and bump inline into its
+// OnActivate.
+func (a *abo) bump(c *uint16, bank, row, inc int) {
+	if int(*c) >= a.ath {
+		return
+	}
+	*c += uint16(inc)
+	if int(*c) >= a.ath {
+		a.pending[bank] = append(a.pending[bank], row)
+		a.Stats.Insertions++
+		if !a.want {
+			a.want = true
+			a.Stats.AlertsWanted++
 		}
 	}
-	return max
+}
+
+// WantsALERT implements Mitigator.
+func (a *abo) WantsALERT() bool { return a.want }
+
+// OnREF implements Mitigator: the rows refreshed by this REF have their
+// counters cleared in every bank, and leave the pending queue.
+func (a *abo) OnREF(refIndex int, now dram.Time) {
+	a.rows.Refresh(refIndex, func(bank, row int, old uint16) {
+		if int(old) >= a.ath {
+			a.removePending(bank, row)
+		}
+	})
+	a.recomputeWant()
+}
+
+// OnRFM implements Mitigator: ABO mitigates reactively only, but an
+// unsolicited RFM opportunity still drains one pending row for the bank.
+func (a *abo) OnRFM(bank int, now dram.Time) {
+	a.Stats.RFMs++
+	a.mitigateOne(bank, now)
+	a.recomputeWant()
+}
+
+// ServiceALERT implements Mitigator: each bank mitigates one pending row.
+func (a *abo) ServiceALERT(now dram.Time) {
+	for b := range a.pending {
+		a.mitigateOne(b, now)
+	}
+	a.recomputeWant()
+}
+
+// TrackStats implements StatsSource.
+func (a *abo) TrackStats() Stats { return a.Stats }
+
+func (a *abo) mitigateOne(bank int, now dram.Time) {
+	q := a.pending[bank]
+	if len(q) == 0 {
+		return
+	}
+	row := q[0]
+	a.pending[bank] = q[1:]
+	*a.rows.Counter(bank, row) = 0
+	a.Stats.Mitigations++
+	a.sink.RowMitigated(bank, row, MitigationVictims, now)
+}
+
+func (a *abo) removePending(bank, row int) {
+	q := a.pending[bank]
+	for i, r := range q {
+		if r == row {
+			a.pending[bank] = append(q[:i], q[i+1:]...)
+			a.Stats.Evictions++
+			return
+		}
+	}
+}
+
+func (a *abo) recomputeWant() {
+	for _, q := range a.pending {
+		if len(q) > 0 {
+			if !a.want {
+				a.want = true
+				a.Stats.AlertsWanted++
+			}
+			return
+		}
+	}
+	a.want = false
 }

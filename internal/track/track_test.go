@@ -172,49 +172,43 @@ func TestPRACPendingClearedByRefresh(t *testing.T) {
 	}
 }
 
-// TestPRACCountersFollowActivatedRows pins the lazily allocated counters:
-// a refresh sweep over rows that never activated allocates nothing, an
-// activation allocates one chunk, and an absent chunk reads as zeros to
-// refresh, MaxCounter and fault injection alike.
+// TestPRACCountersFollowActivatedRows pins PRAC's lazily allocated
+// counters: a refresh sweep over rows that never activated leaves the
+// store without a chunk, an activation allocates one chunk, and an absent
+// chunk reads as zeros to refresh, MaxCounter and fault injection alike.
+// It counts the store's own chunks, which no other goroutine can touch;
+// TestRowCountersWarmOpsAllocFree pins the store's other ops at zero
+// mallocs.
 func TestPRACCountersFollowActivatedRows(t *testing.T) {
 	g := dram.Default()
 	p := NewPRAC(PRACConfig{Geometry: g, Mapping: dram.StridedR2SA, AlertThreshold: 1000}, nil)
-	chunks := func() (n int) {
-		for _, cs := range p.counters {
-			for _, c := range cs {
-				if c != nil {
-					n++
-				}
-			}
-		}
-		return n
-	}
 	sweep := func() {
 		for k := 0; k < g.REFsPerWindow(); k++ {
 			p.OnREF(k, 0)
 		}
 	}
-	if allocs := testing.AllocsPerRun(1, sweep); allocs != 0 || chunks() != 0 {
-		t.Fatalf("idle refresh sweep: %.0f allocs, %d chunks; want 0, 0", allocs, chunks())
+	sweep()
+	if n := p.rows.chunks(); n != 0 {
+		t.Fatalf("idle refresh sweep allocated %d chunks, want 0", n)
 	}
 	row := g.RowsPerBank - 1
 	for i := 0; i < 7; i++ {
 		p.OnActivate(2, row, 0)
 	}
-	if chunks() != 1 || p.MaxCounter(2) != 7 || p.MaxCounter(3) != 0 {
+	if p.rows.chunks() != 1 || p.MaxCounter(2) != 7 || p.MaxCounter(3) != 0 {
 		t.Fatalf("after 7 ACTs: %d chunks, max %d/%d; want 1 chunk, max 7/0",
-			chunks(), p.MaxCounter(2), p.MaxCounter(3))
+			p.rows.chunks(), p.MaxCounter(2), p.MaxCounter(3))
 	}
 	sweep()
-	if p.MaxCounter(2) != 0 {
-		t.Errorf("counter after a refresh sweep = %d, want 0", p.MaxCounter(2))
+	if p.MaxCounter(2) != 0 || p.rows.chunks() != 1 {
+		t.Errorf("after a refresh sweep: counter %d, %d chunks; want 0, 1", p.MaxCounter(2), p.rows.chunks())
 	}
 	rng := stats.NewRNG(3)
 	for i := 0; i < 64; i++ {
 		p.InjectStateFault(rng)
 	}
-	if chunks() <= 1 {
-		t.Errorf("fault injection into absent chunks left %d chunks", chunks())
+	if p.rows.chunks() <= 1 {
+		t.Errorf("fault injection into absent chunks left %d chunks", p.rows.chunks())
 	}
 }
 
