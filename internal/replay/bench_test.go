@@ -7,7 +7,7 @@ import (
 	"mirza/internal/dram"
 	"mirza/internal/trace"
 	"mirza/internal/track"
-	_ "mirza/internal/track/policies" // register mirza and mint-rfm
+	_ "mirza/internal/track/policies" // register mirza, mint-rfm and mopac
 )
 
 // benchPolicies are the trackers the replay-heavy experiments drive: MIRZA
@@ -81,11 +81,13 @@ func BenchmarkReplayRun(b *testing.B) {
 // because every Run starts the trace producer goroutine (DESIGN.md §22),
 // and with a second P that start can allocate: BenchmarkReplayRun reads
 // 0 B/op at -cpu 1 and about 20 B/op at -cpu 2, under both policies. That
-// allocation is the goroutine start, not the loop or the tracker.
+// allocation is the goroutine start, not the loop or the tracker. MoPAC
+// stands for the per-row counter trackers (DESIGN.md §24): once warm, the
+// rows a slice activates lie in counter chunks that already exist.
 func TestReplayRunAllocFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const slices = 20
-	for _, policy := range benchPolicies {
+	for _, policy := range []string{"mirza", "mint-rfm", "mopac"} {
 		t.Run(policy, func(t *testing.T) {
 			r := newWarmRunner(t, policy)
 			var before, after runtime.MemStats
