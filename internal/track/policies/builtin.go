@@ -13,6 +13,7 @@ package policies
 
 import (
 	"fmt"
+	"sort"
 
 	"mirza/internal/dram"
 	"mirza/internal/security"
@@ -60,7 +61,20 @@ func init() {
 		// PRAC-enabled parts pay the longer tRC of the counter update.
 		Timing: func(cfg track.Config) dram.Timing { return dram.PRAC() },
 		Bound: func(cfg track.Config) (track.Bound, error) {
-			return track.Bound{TRHD: cfg.TRHD, Kind: "provisioned TRHD (deterministic ATH+ABO)"}, nil
+			ath, err := cfg.Params.Int("ath")
+			if err != nil {
+				return track.Bound{}, err
+			}
+			if ath <= track.ATHForTRHD(cfg.TRHD) {
+				return track.Bound{TRHD: cfg.TRHD, Kind: "provisioned TRHD (deterministic ATH+ABO)"}, nil
+			}
+			// A raised ATH tolerates only the TRHD it provisions: each
+			// aggressor of a double-sided pair reaches ATH plus the ABO
+			// slack before it is mitigated.
+			return track.Bound{
+				TRHD: 2 * (ath + track.ABOSlack),
+				Kind: fmt.Sprintf("2*(ATH+%d) at ATH=%d (deterministic ATH+ABO)", track.ABOSlack, ath),
+			}, nil
 		},
 	})
 
@@ -274,7 +288,30 @@ func init() {
 		},
 		Timing: func(cfg track.Config) dram.Timing { return dram.PRAC() },
 		Bound: func(cfg track.Config) (track.Bound, error) {
-			return track.Bound{TRHD: cfg.TRHD, Kind: "provisioned TRHD (probabilistic, 4-sigma derated ATH)"}, nil
+			p, err := cfg.Params.Float("p")
+			if err != nil {
+				return track.Bound{}, err
+			}
+			ath, err := cfg.Params.Int("ath")
+			if err != nil {
+				return track.Bound{}, err
+			}
+			if ath <= track.MoPACDeratedATH(cfg.TRHD, p) {
+				return track.Bound{TRHD: cfg.TRHD, Kind: "provisioned TRHD (probabilistic, 4-sigma derated ATH)"}, nil
+			}
+			// A raised ATH tolerates only the smallest TRHD whose derated
+			// ATH reaches it; the derated ATH grows with the TRHD.
+			hi := max(cfg.TRHD, 1)
+			for track.MoPACDeratedATH(hi, p) < ath {
+				hi *= 2
+			}
+			trhd := cfg.TRHD + 1 + sort.Search(hi-cfg.TRHD, func(i int) bool {
+				return track.MoPACDeratedATH(cfg.TRHD+1+i, p) >= ath
+			})
+			return track.Bound{
+				TRHD: trhd,
+				Kind: fmt.Sprintf("smallest TRHD whose derated ATH reaches ATH=%d (probabilistic, 4-sigma)", ath),
+			}, nil
 		},
 	})
 }

@@ -179,3 +179,35 @@ func TestPerRowThresholdsFitCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestPerRowBoundsFollowATH: PRAC's and MoPAC's bound is the provisioned
+// TRHD only while the ATH is at most that TRHD's; a raised ATH reports the
+// threshold it actually tolerates.
+func TestPerRowBoundsFollowATH(t *testing.T) {
+	cfg := track.Config{Geometry: dram.Default(), Mapping: dram.StridedR2SA, TRHD: 1000, Seed: 1}
+	for _, c := range []struct {
+		name   string
+		params map[string]string
+		want   int
+	}{
+		{"prac", nil, 1000},
+		{"prac", map[string]string{"ath": "100"}, 1000},
+		{"prac", map[string]string{"ath": "492"}, 1000}, // ATHForTRHD(1000)
+		{"prac", map[string]string{"ath": "493"}, 1002}, // 2*(ATH+8)
+		{"prac", map[string]string{"ath": "2000"}, 4016},
+		{"mopac", nil, 1000},
+		{"mopac", map[string]string{"ath": "226"}, 1000},              // MoPACDeratedATH(1000, 0.1)
+		{"mopac", map[string]string{"ath": "227"}, 1002},              // MoPACDeratedATH(1002, 0.1) = 227
+		{"mopac", map[string]string{"ath": "1000"}, 2932},             // MoPACDeratedATH(2932, 0.1) = 1000
+		{"mopac", map[string]string{"ath": "2000", "p": "0.5"}, 4390}, // MoPACDeratedATH(4390, 0.5) = 2000
+		{"mopac", map[string]string{"ath": "493", "p": "1"}, 1002},    // unsampled: PRAC's bound
+	} {
+		b, err := track.Build(c.name, c.params, cfg)
+		if err != nil {
+			t.Fatalf("%s %v: %v", c.name, c.params, err)
+		}
+		if got := b.Bound(); got.TRHD != c.want {
+			t.Errorf("%s %v: bound %d (%s), want %d", c.name, c.params, got.TRHD, got.Kind, c.want)
+		}
+	}
+}

@@ -18,13 +18,16 @@ type PRACConfig struct {
 	AlertThreshold int
 }
 
+// ABOSlack is the activations that land between ALERT assertion and
+// mitigation: prologue ACTs plus the queue-drain worst case (ABO_ACTS,
+// Section VI.A/Fig 10).
+const ABOSlack = 8
+
 // ATHForTRHD returns a MOAT-style ALERT threshold for a target TRHD: half
 // the threshold (each aggressor of a double-sided pair accrues its own
-// count) minus slack for the activations that land between ALERT assertion
-// and mitigation (prologue ACTs plus the queue-drain worst case).
+// count) minus ABOSlack.
 func ATHForTRHD(trhd int) int {
-	const slack = 8 // ABO_ACTS worst case, Section VI.A/Fig 10
-	ath := trhd/2 - slack
+	ath := trhd/2 - ABOSlack
 	if ath < 1 {
 		ath = 1
 	}
