@@ -30,12 +30,24 @@ import (
 	"errors"
 
 	"mirza/internal/jobs"
+	"mirza/internal/trace"
 )
 
 // job is one experiment-internal unit of work producing a T.
 type job[T any] struct {
 	id  string
 	run func(x *Exec) (T, error)
+}
+
+// workloadJobs returns one job per workload, each named prefix/<workload>
+// and running run on that workload.
+func workloadJobs[T any](prefix string, specs []trace.WorkloadSpec, run func(x *Exec, name string) (T, error)) []job[T] {
+	js := make([]job[T], len(specs))
+	for i, spec := range specs {
+		name := spec.Name
+		js[i] = job[T]{id: prefix + "/" + name, run: func(x *Exec) (T, error) { return run(x, name) }}
+	}
+	return js
 }
 
 // runJobs executes experiment jobs on the engine and gathers their values

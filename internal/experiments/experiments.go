@@ -601,65 +601,82 @@ func slowdownVs(base *Baseline, res *timingResult) float64 {
 	return 100 * (1 - ws)
 }
 
-// mirzaMits builds one MIRZA instance per sub-channel.
-func mirzaMits(cfg core.Config, seed uint64) ([]*core.Mirza, error) {
-	g := cfg.Geometry
-	out := make([]*core.Mirza, g.SubChannels)
-	for i := range out {
-		c := cfg
-		c.Seed = seed + uint64(i)*977
-		m, err := core.New(c, track.NopSink{})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: building MIRZA for sub-channel %d: %w", i, err)
+// mirzaMits builds one MIRZA set per config: one instance per sub-channel.
+func mirzaMits(cfgs []core.Config, seed uint64) ([][]*core.Mirza, error) {
+	sets := make([][]*core.Mirza, len(cfgs))
+	for k, cfg := range cfgs {
+		for i := 0; i < cfg.Geometry.SubChannels; i++ {
+			c := cfg
+			c.Seed = seed + uint64(i)*977
+			m, err := core.New(c, track.NopSink{})
+			if err != nil {
+				return nil, fmt.Errorf("experiments: building MIRZA for sub-channel %d: %w", i, err)
+			}
+			sets[k] = append(sets[k], m)
 		}
-		out[i] = m
 	}
-	return out, nil
+	return sets, nil
 }
 
-// asMitigators views MIRZA instances as the replay's mitigator slice.
-func asMitigators(ms []*core.Mirza) []track.Mitigator {
-	out := make([]track.Mitigator, len(ms))
-	for i, m := range ms {
-		out[i] = m
+// asSets views sets of MIRZA instances as a replay pass's tracker sets.
+func asSets(ms [][]*core.Mirza) [][]track.Mitigator {
+	out := make([][]track.Mitigator, len(ms))
+	for k, set := range ms {
+		for _, m := range set {
+			out[k] = append(out[k], m)
+		}
 	}
 	return out
 }
 
-// warmMirza builds fresh MIRZA instances for cfg, primes them with a
-// warm-up pass over the workload and returns them with their stats reset,
-// ready for a measured pass or the timing simulator. The warm-up runs
-// under the configured fault plan so the warmed state carries any injected
-// corruption into the measured phase.
-func (x *Exec) warmMirza(name string, cfg core.Config) ([]*core.Mirza, error) {
-	mits, err := mirzaMits(cfg, x.r.opts.Seed)
-	if err != nil {
-		return nil, err
+// setTotals sums a MIRZA set's ACTs, Filtered, Escaped and Mitigations
+// over its sub-channels; its other counters stay zero.
+func setTotals(set []*core.Mirza) (t core.MirzaStats) {
+	for _, m := range set {
+		t.ACTs += m.Stats.ACTs
+		t.Filtered += m.Stats.Filtered
+		t.Escaped += m.Stats.Escaped
+		t.Mitigations += m.Stats.Mitigations
 	}
-	if _, err := x.replay(name, replayPass{kind: warmPass, mits: asMitigators(mits)}); err != nil {
-		return nil, err
-	}
-	for _, m := range mits {
-		m.ResetStats()
-	}
-	return mits, nil
+	return t
 }
 
-// replayMirza warms fresh MIRZA instances for cfg, then replays the
-// measured pass through them and returns them with what it counted. The
-// instances' stats cover the whole measured pass, its unmeasured first
-// window included; afterWarm, if set, sees them right after that window.
-func (x *Exec) replayMirza(name string, cfg core.Config, afterWarm func([]*core.Mirza)) ([]*core.Mirza, replayResult, error) {
-	mits, err := x.warmMirza(name, cfg)
+// warmMirza builds one fresh MIRZA set per config, primes them all with
+// one warm-up pass over the workload and returns them with their stats
+// reset, ready for a measured pass or the timing simulator. The warm-up
+// runs under the configured fault plan so the warmed state carries any
+// injected corruption into the measured phase.
+func (x *Exec) warmMirza(name string, cfgs []core.Config) ([][]*core.Mirza, error) {
+	sets, err := mirzaMits(cfgs, x.r.opts.Seed)
 	if err != nil {
-		return nil, replayResult{}, err
+		return nil, err
 	}
-	p := replayPass{kind: measurePass, mits: asMitigators(mits)}
+	if _, err := x.replay(name, replayPass{kind: warmPass, sets: asSets(sets)}); err != nil {
+		return nil, err
+	}
+	for _, set := range sets {
+		for _, m := range set {
+			m.ResetStats()
+		}
+	}
+	return sets, nil
+}
+
+// replayMirza warms one fresh MIRZA set per config, then replays one
+// measured pass through them all. The sets' stats cover the whole measured
+// pass, its unmeasured first window included; afterWarm, if set, sees them
+// right after that window.
+func (x *Exec) replayMirza(name string, cfgs []core.Config, afterWarm func([][]*core.Mirza)) ([][]*core.Mirza, []replayResult, error) {
+	sets, err := x.warmMirza(name, cfgs)
+	if err != nil {
+		return nil, nil, err
+	}
+	p := replayPass{kind: measurePass, sets: asSets(sets)}
 	if afterWarm != nil {
-		p.afterWarm = func() { afterWarm(mits) }
+		p.afterWarm = func() { afterWarm(sets) }
 	}
 	res, err := x.replay(name, p)
-	return mits, res, err
+	return sets, res, err
 }
 
 // passKind fixes a replay pass's activation stream, its fault streams and
@@ -668,48 +685,83 @@ type passKind int
 
 const (
 	// warmPass replays one refresh window of stream Seed+7 to prime
-	// trackers; sub-channel i's mitigator draws fault stream 100+i.
+	// trackers; a set's sub-channel i mitigator draws fault stream 100+i.
 	warmPass passKind = iota
 	// measurePass replays Options.ReplayWindows windows of stream
 	// Seed+13, the first of them unmeasured; fault streams 200+i.
 	measurePass
-	// probePass is a measurePass on fault streams 300+i, for Table 6's
-	// probe fan-out.
-	probePass
 )
 
 // replayPass is one activation replay of a workload.
 type replayPass struct {
 	kind passKind
-	// mits are the per-sub-channel mitigators; nil replays unprotected.
-	mits []track.Mitigator
+	// sets[k][i] is tracker set k's mitigator for sub-channel i. One pass
+	// drives every set; no sets replays unprotected.
+	sets [][]track.Mitigator
 	// afterWarm, if set, runs right after the first refresh window.
 	afterWarm func()
 	// obs, if set, sees every activation of the measured windows.
 	obs replay.Observer
 }
 
-// replayResult is what a measured pass counted, per sub-channel.
+// replayResult is what one tracker set saw in a pass, per sub-channel. A
+// warm-up pass fills in only faults.
 type replayResult struct {
 	warm     []replay.Stats // the first, unmeasured window
 	measured []replay.Stats // the measured windows only
-	time     dram.Time      // the measured windows' replay time
+	faults   *fault.Log     // the faults injected into this set
 }
 
+// measuredTime is the replay time a measured pass counts: every refresh
+// window but the first.
+func (o Options) measuredTime() dram.Time {
+	return dram.Time(o.ReplayWindows-1) * dram.DDR5().TREFW
+}
+
+// fanOut is a replay pass's mitigator for one sub-channel: it feeds the
+// sub-channel's stream to one member per tracker set. On each ACT it runs
+// every member, in set order, through the replay Runner's own sequence
+// (OnActivate, WantsALERT, ServiceALERT) and counts the member's ALERTs.
+// Replay has no ALERT back-pressure, so the stream does not depend on the
+// trackers, and each member sees exactly what a pass of its own would.
+type fanOut struct {
+	members []track.Mitigator
+	alerts  []int64 // alerts[k] counts member k's serviced ALERTs
+}
+
+func (f *fanOut) Name() string { return "fan-out" }
+func (f *fanOut) OnActivate(bank, row int, now dram.Time) {
+	for k, m := range f.members {
+		m.OnActivate(bank, row, now)
+		if m.WantsALERT() {
+			f.alerts[k]++
+			m.ServiceALERT(now)
+		}
+	}
+}
+func (f *fanOut) WantsALERT() bool { return false }
+func (f *fanOut) OnREF(refIndex int, now dram.Time) {
+	for _, m := range f.members {
+		m.OnREF(refIndex, now)
+	}
+}
+func (f *fanOut) OnRFM(bank int, now dram.Time) {} // replay issues no RFMs
+func (f *fanOut) ServiceALERT(now dram.Time)    {}
+
 // replay runs pass p over workload name: every activation replay of the
-// experiments goes through here (DESIGN.md §23). It checks the job's
-// context before each refresh window and returns its error, naming the
-// workload and the phase, once the job is canceled or timed out. A measured
-// pass flushes its mitigators' telemetry as layer=replay; a warm-up pass
-// flushes nothing and returns a zero result.
-func (x *Exec) replay(name string, p replayPass) (replayResult, error) {
+// experiments goes through here (DESIGN.md §23), one pass feeding every
+// tracker set of p. Each set's members are fault-wrapped on the pass's
+// streams into a fault log of the set's own, and the sets' logs are merged
+// into the job's log in set order, so a K-set pass logs what K one-set
+// passes would. It checks the job's context before each refresh window
+// and returns its error, naming the workload and the phase, once the job
+// is canceled or timed out. A measured pass flushes every member's
+// telemetry as layer=replay; a warm-up pass flushes nothing.
+func (x *Exec) replay(name string, p replayPass) ([]replayResult, error) {
 	r := x.r
 	stream, faults, windows, phase := r.opts.Seed+13, uint64(200), r.opts.ReplayWindows, "measured"
-	switch p.kind {
-	case warmPass:
+	if p.kind == warmPass {
 		stream, faults, windows, phase = r.opts.Seed+7, 100, 1, "warm-up"
-	case probePass:
-		faults = 300
 	}
 	stopped := func(window int) error {
 		if err := x.context().Err(); err != nil {
@@ -719,23 +771,45 @@ func (x *Exec) replay(name string, p replayPass) (replayResult, error) {
 		return nil
 	}
 	if err := stopped(1); err != nil {
-		return replayResult{}, err
+		return nil, err
 	}
 	base, err := r.Baseline(name)
 	if err != nil {
-		return replayResult{}, err
+		return nil, err
 	}
 	gens, err := trace.PerCore(base.Spec, r.opts.Cores, stream)
 	if err != nil {
-		return replayResult{}, err
+		return nil, err
 	}
-	var mits []track.Mitigator // stays nil for an unprotected pass
-	for i, m := range p.mits {
-		mits = append(mits, x.wrapMit(m, faults+uint64(i)))
+	fans := make([]*fanOut, dram.Default().SubChannels)
+	mits := make([]track.Mitigator, len(fans))
+	for i := range fans {
+		fans[i] = &fanOut{alerts: make([]int64, len(p.sets))}
+		mits[i] = fans[i]
+	}
+	res := make([]replayResult, len(p.sets))
+	defer func() {
+		for _, s := range res {
+			x.log.Merge(s.faults)
+		}
+	}()
+	for k, set := range p.sets {
+		res[k].faults = fault.NewLog()
+		for i, m := range set {
+			fans[i].members = append(fans[i].members, fault.Wrap(r.opts.Faults, m, faults+uint64(i), res[k].faults))
+		}
 	}
 	run, err := replay.NewRunner(replay.Config{IPS: base.IPS}, gens, mits)
 	if err != nil {
-		return replayResult{}, err
+		return nil, err
+	}
+	// stats returns the Runner's counters as set k saw them: its own ALERTs.
+	stats := func(k int) []replay.Stats {
+		st := run.Stats()
+		for i := range st {
+			st[i].Alerts = fans[i].alerts[k]
+		}
+		return st
 	}
 	tREFW := dram.DDR5().TREFW
 	run.Run(tREFW, nil)
@@ -743,28 +817,35 @@ func (x *Exec) replay(name string, p replayPass) (replayResult, error) {
 		p.afterWarm()
 	}
 	if p.kind == warmPass {
-		return replayResult{}, nil
+		return res, nil
+	}
+	for k := range res {
+		res[k].warm = stats(k)
 	}
 	// The measured windows run one tREFW at a time, so a canceled job
 	// replays at most one more window; Run resumes exactly where it stopped.
-	res := replayResult{warm: run.Stats(), time: dram.Time(windows-1) * tREFW}
 	for w := 2; w <= windows; w++ {
 		if err := stopped(w); err != nil {
-			return replayResult{}, err
+			return nil, err
 		}
 		run.Run(dram.Time(w)*tREFW, p.obs)
 	}
-	res.measured = run.Stats()
-	for i := range res.measured {
-		res.measured[i].Accesses -= res.warm[i].Accesses
-		res.measured[i].ACTs -= res.warm[i].ACTs
-		res.measured[i].REFs -= res.warm[i].REFs
-		res.measured[i].Alerts -= res.warm[i].Alerts
+	for k := range res {
+		res[k].measured = stats(k)
+		for i, w := range res[k].warm {
+			m := &res[k].measured[i]
+			m.Accesses -= w.Accesses
+			m.ACTs -= w.ACTs
+			m.REFs -= w.REFs
+			m.Alerts -= w.Alerts
+		}
 	}
 	if reg := r.opts.Telemetry; reg.Enabled() {
-		for i, m := range mits {
-			track.FlushTelemetry(reg, m,
-				telemetry.L("layer", "replay"), telemetry.L("sub", strconv.Itoa(i)))
+		for i, f := range fans {
+			for _, m := range f.members {
+				track.FlushTelemetry(reg, m,
+					telemetry.L("layer", "replay"), telemetry.L("sub", strconv.Itoa(i)))
+			}
 		}
 	}
 	return res, nil

@@ -261,15 +261,14 @@ func replayMitigations(t *testing.T, opts Options) (alerts, mitig int64, log *fa
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Seed = 1
-	mits, res, err := x.replayMirza("xz", cfg, nil)
+	sets, res, err := x.replayMirza("xz", []core.Config{cfg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.measured {
+	for _, s := range res[0].measured {
 		alerts += s.Alerts
 	}
-	for _, m := range mits {
+	for _, m := range sets[0] {
 		mitig += m.Stats.Mitigations
 	}
 	return alerts, mitig, x.log
@@ -288,15 +287,15 @@ func TestReplayCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mits, err := mirzaMits(cfg, 1)
+	sets, err := mirzaMits([]core.Config{cfg}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		kind  passKind
 		phase string
-	}{{warmPass, "warm-up"}, {measurePass, "measured"}, {probePass, "measured"}} {
-		_, err := x.replay("xz", replayPass{kind: tc.kind, mits: asMitigators(mits)})
+	}{{warmPass, "warm-up"}, {measurePass, "measured"}} {
+		_, err := x.replay("xz", replayPass{kind: tc.kind, sets: asSets(sets)})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s pass: got %v, want context.Canceled", tc.phase, err)
 		}
@@ -304,7 +303,7 @@ func TestReplayCanceled(t *testing.T) {
 			t.Errorf("error does not name the workload and the %s phase: %v", tc.phase, err)
 		}
 	}
-	for i, m := range mits {
+	for i, m := range sets[0] {
 		if m.Stats.ACTs != 0 {
 			t.Errorf("sub-channel %d saw %d ACTs under a canceled context", i, m.Stats.ACTs)
 		}

@@ -58,29 +58,20 @@ func (x *Exec) runPRAC(name string, trhd int) (slowdown float64, err error) {
 	return sd, err
 }
 
-// runMIRZA measures the MIRZA slowdown for one workload with a pre-warmed
-// Region Count Table.
-func (x *Exec) runMIRZA(name string, cfg core.Config) (slowdown float64, res *timingResult, err error) {
+// runMIRZA measures the MIRZA slowdown for one workload, starting the
+// timing run from a set warmed by warmMirza.
+func (x *Exec) runMIRZA(name string, warmed []*core.Mirza) (float64, error) {
 	base, err := x.Baseline(name)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	warmed, err := x.warmMirza(name, cfg)
+	// The channel counts mitigations through its own sink, which the
+	// warmed instances do not have; they count via their stats instead.
+	res, err := x.runTiming(name, dram.DDR5(), 0, func(sub int, sink track.Sink) track.Mitigator { return warmed[sub] })
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	factory := func(sub int, sink track.Sink) track.Mitigator {
-		// Reuse the warmed instance; redirect its mitigation events to
-		// the channel's sink via a fresh wrapper is unnecessary — the
-		// channel counts mitigations through its own sink, which the
-		// warmed instance does not have. Count via stats instead.
-		return warmed[sub]
-	}
-	res, err = x.runTiming(name, dram.DDR5(), 0, factory)
-	if err != nil {
-		return 0, nil, err
-	}
-	return slowdownVs(base, res), res, nil
+	return slowdownVs(base, res), nil
 }
 
 // Fig3 reproduces Figure 3: slowdown and refresh power overhead of the
@@ -169,9 +160,11 @@ func (r *Runner) Fig11a() (*Table, error) {
 				run: func(x *Exec) (float64, error) {
 					x.r.opts.Logf("fig11a %s", spec.Name)
 					cfg, _ := core.ForTRHD(trhd)
-					cfg.Seed = x.r.opts.Seed
-					sd, _, err := x.runMIRZA(spec.Name, cfg)
-					return sd, err
+					warmed, err := x.warmMirza(spec.Name, []core.Config{cfg})
+					if err != nil {
+						return 0, err
+					}
+					return x.runMIRZA(spec.Name, warmed[0])
 				},
 			})
 		}
@@ -284,7 +277,9 @@ func (r *Runner) Table5() (*Table, error) {
 
 // Table9 reproduces Table IX: MIRZA's slowdown and remaining-activation
 // fraction at TRHD=1K as the (MINT-W, FTH) pair varies. One job per
-// (MINT-W, workload): the timing run plus the escape-fraction replay.
+// workload: one warm-up pass primes two sets per MINT-W, one for the
+// escape-fraction replay and one for the timing run; one measured pass
+// then replays the escape sets, and the timing runs follow.
 func (r *Runner) Table9() (*Table, error) {
 	specs, err := r.opts.workloadSpecs()
 	if err != nil {
@@ -308,53 +303,42 @@ func (r *Runner) Table9() (*Table, error) {
 		} else {
 			cfg.FTH = security.FTHForTRHD(1000, w, cfg.QueueSize, cfg.QTH, model)
 		}
-		cfg.Seed = r.opts.Seed
 		cfgs[i] = cfg
 	}
 	type cell struct {
-		sd            float64
-		acts, escaped int64
+		sd     float64
+		counts core.MirzaStats // the escape set's
 	}
-	var js []job[cell]
-	for wi, w := range windows {
-		cfg := cfgs[wi]
-		for _, spec := range specs {
-			w, cfg, spec := w, cfg, spec
-			js = append(js, job[cell]{
-				id: fmt.Sprintf("table9/w=%d/%s", w, spec.Name),
-				run: func(x *Exec) (cell, error) {
-					x.r.opts.Logf("table9 %s W=%d FTH=%d", spec.Name, w, cfg.FTH)
-					sd, _, err := x.runMIRZA(spec.Name, cfg)
-					if err != nil {
-						return cell{}, err
-					}
-					// Escape fraction from a replay pass.
-					mits, _, err := x.replayMirza(spec.Name, cfg, nil)
-					if err != nil {
-						return cell{}, err
-					}
-					c := cell{sd: sd}
-					for _, m := range mits {
-						c.acts += m.Stats.ACTs
-						c.escaped += m.Stats.Escaped
-					}
-					return c, nil
-				},
-			})
+	perSpec, err := runJobs(r, workloadJobs("table9", specs, func(x *Exec, name string) ([]cell, error) {
+		x.r.opts.Logf("table9 %s", name)
+		// Each config twice: the escape sets, then the timing runs' sets.
+		warmed, err := x.warmMirza(name, append(append([]core.Config(nil), cfgs...), cfgs...))
+		if err != nil {
+			return nil, err
 		}
-	}
-	cells, err := runJobs(r, js)
+		escape := warmed[:len(cfgs)]
+		if _, err := x.replay(name, replayPass{kind: measurePass, sets: asSets(escape)}); err != nil {
+			return nil, err
+		}
+		cells := make([]cell, len(cfgs))
+		for wi, set := range escape {
+			cells[wi].counts = setTotals(set)
+			if cells[wi].sd, err = x.runMIRZA(name, warmed[len(cfgs)+wi]); err != nil {
+				return nil, err
+			}
+		}
+		return cells, nil
+	}))
 	if err != nil {
 		return nil, err
 	}
 	for wi, w := range windows {
 		var sdSum float64
 		var acts, escaped int64
-		for si := range specs {
-			c := cells[wi*len(specs)+si]
-			sdSum += c.sd
-			acts += c.acts
-			escaped += c.escaped
+		for _, cells := range perSpec {
+			sdSum += cells[wi].sd
+			acts += cells[wi].counts.ACTs
+			escaped += cells[wi].counts.Escaped
 		}
 		n := float64(len(specs))
 		t.AddRow(d(int64(w)), d(int64(cfgs[wi].FTH)), d(int64(cfgs[wi].SRAMBytesPerBank())),
@@ -386,11 +370,9 @@ func (r *Runner) Table13() (*Table, error) {
 	}
 	trhds := []int{500, 1000, 2000}
 	type cell struct{ prac, mint, mirza float64 }
-	cfgs := make([]core.Config, len(trhds))
-	for i, trhd := range trhds {
-		cfg, _ := core.ForTRHD(trhd)
-		cfg.Seed = r.opts.Seed
-		cfgs[i] = cfg
+	cfgs, err := mirzaConfigs(trhds)
+	if err != nil {
+		return nil, err
 	}
 	var js []job[cell]
 	for ti, trhd := range trhds {
@@ -409,7 +391,11 @@ func (r *Runner) Table13() (*Table, error) {
 					if err != nil {
 						return cell{}, err
 					}
-					mirza, _, err := x.runMIRZA(spec.Name, cfg)
+					warmed, err := x.warmMirza(spec.Name, []core.Config{cfg})
+					if err != nil {
+						return cell{}, err
+					}
+					mirza, err := x.runMIRZA(spec.Name, warmed[0])
 					if err != nil {
 						return cell{}, err
 					}

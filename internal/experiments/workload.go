@@ -10,30 +10,6 @@ import (
 	"mirza/internal/track"
 )
 
-// probeSet is a passive fan-out Mitigator: it feeds every probe MIRZA
-// instance the same ACT/REF stream but never requests ALERTs (probes'
-// queues are irrelevant; only their filtering statistics are read).
-type probeSet struct {
-	probes []*core.Mirza
-}
-
-var _ track.Mitigator = (*probeSet)(nil)
-
-func (p *probeSet) Name() string { return "probe-set" }
-func (p *probeSet) OnActivate(bank, row int, now dram.Time) {
-	for _, m := range p.probes {
-		m.OnActivate(bank, row, now)
-	}
-}
-func (p *probeSet) WantsALERT() bool { return false }
-func (p *probeSet) OnREF(refIndex int, now dram.Time) {
-	for _, m := range p.probes {
-		m.OnREF(refIndex, now)
-	}
-}
-func (p *probeSet) OnRFM(bank int, now dram.Time) {}
-func (p *probeSet) ServiceALERT(now dram.Time)    {}
-
 // Table4 reproduces Table IV: the workload characteristics, measured from
 // the simulator (MPKI and ACT-PKI from the timing baseline; ACTs/subarray
 // per tREFW from the replayer). One job per workload.
@@ -52,25 +28,17 @@ func (r *Runner) Table4() (*Table, error) {
 		base       *Baseline
 		mean, sdev float64
 	}
-	js := make([]job[cell], 0, len(specs))
-	for _, spec := range specs {
-		spec := spec
-		js = append(js, job[cell]{
-			id: "table4/" + spec.Name,
-			run: func(x *Exec) (cell, error) {
-				base, err := x.Baseline(spec.Name)
-				if err != nil {
-					return cell{}, err
-				}
-				mean, sdev, err := x.actsPerSubarray(spec.Name)
-				if err != nil {
-					return cell{}, err
-				}
-				return cell{base, mean, sdev}, nil
-			},
-		})
-	}
-	cells, err := runJobs(r, js)
+	cells, err := runJobs(r, workloadJobs("table4", specs, func(x *Exec, name string) (cell, error) {
+		base, err := x.Baseline(name)
+		if err != nil {
+			return cell{}, err
+		}
+		mean, sdev, err := x.actsPerSubarray(name)
+		if err != nil {
+			return cell{}, err
+		}
+		return cell{base, mean, sdev}, nil
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -102,14 +70,13 @@ func (x *Exec) actsPerSubarray(name string) (mean, sdev float64, err error) {
 	for i := range counts {
 		counts[i] = make([]int64, g.Subarrays())
 	}
-	res, err := x.replay(name, replayPass{kind: measurePass, obs: func(sub, bank, row int, now dram.Time) {
+	if _, err := x.replay(name, replayPass{kind: measurePass, obs: func(sub, bank, row int, now dram.Time) {
 		counts[sub*g.BanksPerSubChannel+bank][g.Subarray(dram.StridedR2SA, row)]++
-	}})
-	if err != nil {
+	}}); err != nil {
 		return 0, 0, err
 	}
 	// The observer saw only the measured windows; normalize to one tREFW.
-	scale := float64(dram.DDR5().TREFW) / float64(res.time)
+	scale := float64(dram.DDR5().TREFW) / float64(x.r.opts.measuredTime())
 	var agg stats.Running
 	for _, bank := range counts {
 		for _, c := range bank {
@@ -131,18 +98,10 @@ func (r *Runner) Fig6() (*Table, error) {
 		Title:   "Avg ACTs/subarray per tREFW vs worst case",
 		Columns: []string{"Workload", "ACTs/subarray/tREFW", "paper"},
 	}
-	js := make([]job[float64], 0, len(specs))
-	for _, spec := range specs {
-		spec := spec
-		js = append(js, job[float64]{
-			id: "fig6/" + spec.Name,
-			run: func(x *Exec) (float64, error) {
-				mean, _, err := x.actsPerSubarray(spec.Name)
-				return mean, err
-			},
-		})
-	}
-	means, err := runJobs(r, js)
+	means, err := runJobs(r, workloadJobs("fig6", specs, func(x *Exec, name string) (float64, error) {
+		mean, _, err := x.actsPerSubarray(name)
+		return mean, err
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -160,8 +119,8 @@ func (r *Runner) Fig6() (*Table, error) {
 
 // Table6 reproduces Table VI: the fraction of activations filtered by CGF
 // under sequential vs strided row-to-subarray mapping, as FTH varies. One
-// job per workload; each job replays the workload once through a probe
-// fan-out covering every (mapping, FTH) pair.
+// job per workload; each job replays the workload once through one MIRZA
+// set per (mapping, FTH) pair.
 func (r *Runner) Table6() (*Table, error) {
 	specs, err := r.opts.workloadSpecs()
 	if err != nil {
@@ -169,73 +128,54 @@ func (r *Runner) Table6() (*Table, error) {
 	}
 	fths := []int{1400, 1500, 1600, 1700}
 	mappings := []dram.R2SAMapping{dram.SequentialR2SA, dram.StridedR2SA}
-	g := dram.Default()
+	// One MIRZA set per (mapping, fth), in that order.
+	var cfgs []core.Config
+	for _, m := range mappings {
+		for _, fth := range fths {
+			cfg, err := core.ForTRHD(1000)
+			if err != nil {
+				return nil, err
+			}
+			cfg.Mapping, cfg.FTH = m, fth
+			cfgs = append(cfgs, cfg)
+		}
+	}
 
 	// One job returns, per (mapping, fth) in enumeration order, the
-	// (acts, filtered) deltas aggregated over sub-channels.
-	type agg struct{ acts, filtered int64 }
-	js := make([]job[[]agg], 0, len(specs))
-	for _, spec := range specs {
-		spec := spec
-		js = append(js, job[[]agg]{
-			id: "table6/" + spec.Name,
-			run: func(x *Exec) ([]agg, error) {
-				x.r.opts.Logf("table6 %s", spec.Name)
-				// probes[sub] holds sub-channel sub's probes in (mapping, fth) order.
-				probes := make([][]*core.Mirza, g.SubChannels)
-				mits := make([]track.Mitigator, g.SubChannels)
-				for sub := range probes {
-					for _, m := range mappings {
-						for _, fth := range fths {
-							cfg, err := core.ForTRHD(1000)
-							if err != nil {
-								return nil, err
-							}
-							cfg.Mapping = m
-							cfg.FTH = fth
-							cfg.Seed = x.r.opts.Seed + uint64(sub)
-							probe, err := core.New(cfg, track.NopSink{})
-							if err != nil {
-								return nil, fmt.Errorf("table6 probe (FTH=%d): %w", fth, err)
-							}
-							probes[sub] = append(probes[sub], probe)
-						}
-					}
-					mits[sub] = &probeSet{probes: probes[sub]}
-				}
-				// Only the windows after the first are measured.
-				warm := make([][]core.MirzaStats, len(probes))
-				snapshot := func() {
-					for sub, ps := range probes {
-						for _, p := range ps {
-							warm[sub] = append(warm[sub], p.Stats)
-						}
-					}
-				}
-				if _, err := x.replay(spec.Name, replayPass{kind: probePass, mits: mits, afterWarm: snapshot}); err != nil {
-					return nil, err
-				}
-				out := make([]agg, len(mappings)*len(fths))
-				for sub, ps := range probes {
-					for i, p := range ps {
-						out[i].acts += p.Stats.ACTs - warm[sub][i].ACTs
-						out[i].filtered += p.Stats.Filtered - warm[sub][i].Filtered
-					}
-				}
-				return out, nil
-			},
-		})
-	}
-	perSpec, err := runJobs(r, js)
+	// measured windows' counts aggregated over sub-channels.
+	perSpec, err := runJobs(r, workloadJobs("table6", specs, func(x *Exec, name string) ([]core.MirzaStats, error) {
+		x.r.opts.Logf("table6 %s", name)
+		sets, err := mirzaMits(cfgs, x.r.opts.Seed)
+		if err != nil {
+			return nil, err
+		}
+		// Only the windows after the first are measured.
+		warm := make([]core.MirzaStats, len(sets))
+		snapshot := func() {
+			for k, set := range sets {
+				warm[k] = setTotals(set)
+			}
+		}
+		if _, err := x.replay(name, replayPass{kind: measurePass, sets: asSets(sets), afterWarm: snapshot}); err != nil {
+			return nil, err
+		}
+		out := make([]core.MirzaStats, len(sets))
+		for k, set := range sets {
+			out[k] = setTotals(set)
+			out[k].ACTs -= warm[k].ACTs
+			out[k].Filtered -= warm[k].Filtered
+		}
+		return out, nil
+	}))
 	if err != nil {
 		return nil, err
 	}
 	// sums[i] aggregates the i-th (mapping, fth) pair over workloads.
-	sums := make([]agg, len(mappings)*len(fths))
+	sums := make([]core.MirzaStats, len(mappings)*len(fths))
 	for _, cells := range perSpec {
 		for i, c := range cells {
-			sums[i].acts += c.acts
-			sums[i].filtered += c.filtered
+			sums[i].ACTs += c.ACTs
+			sums[i].Filtered += c.Filtered
 		}
 	}
 
@@ -245,11 +185,11 @@ func (r *Runner) Table6() (*Table, error) {
 		Columns: []string{"FTH", "Sequential filtered", "Sequential remaining",
 			"Strided filtered", "Strided remaining"},
 	}
-	pct := func(a agg) (fil, rem float64) {
-		if a.acts == 0 {
+	pct := func(a core.MirzaStats) (fil, rem float64) {
+		if a.ACTs == 0 {
 			return 0, 0
 		}
-		fil = 100 * float64(a.filtered) / float64(a.acts)
+		fil = 100 * float64(a.Filtered) / float64(a.ACTs)
 		return fil, 100 - fil
 	}
 	for i, fth := range fths {
@@ -264,8 +204,20 @@ func (r *Runner) Table6() (*Table, error) {
 	return t, nil
 }
 
+// mirzaConfigs returns MIRZA's configuration for each TRHD.
+func mirzaConfigs(trhds []int) ([]core.Config, error) {
+	cfgs := make([]core.Config, len(trhds))
+	for i, trhd := range trhds {
+		var err error
+		if cfgs[i], err = core.ForTRHD(trhd); err != nil {
+			return nil, err
+		}
+	}
+	return cfgs, nil
+}
+
 // Table8 reproduces Table VIII: the mitigation overhead of MINT vs MIRZA.
-// One job per (TRHD, workload) replay.
+// One job per workload; its three TRHDs share each replay pass.
 func (r *Runner) Table8() (*Table, error) {
 	specs, err := r.opts.workloadSpecs()
 	if err != nil {
@@ -279,41 +231,30 @@ func (r *Runner) Table8() (*Table, error) {
 			"MIRZA rate", "Difference"},
 	}
 	trhds := []int{2000, 1000, 500}
-	type counts struct{ acts, escaped, mitig int64 }
-	var js []job[counts]
-	for _, trhd := range trhds {
-		cfg, err := core.ForTRHD(trhd)
+	cfgs, err := mirzaConfigs(trhds)
+	if err != nil {
+		return nil, err
+	}
+	perSpec, err := runJobs(r, workloadJobs("table8", specs, func(x *Exec, name string) ([]core.MirzaStats, error) {
+		sets, _, err := x.replayMirza(name, cfgs, nil)
 		if err != nil {
 			return nil, err
 		}
-		for _, spec := range specs {
-			cfg, spec := cfg, spec
-			js = append(js, job[counts]{
-				id: fmt.Sprintf("table8/trhd=%d/%s", trhd, spec.Name),
-				run: func(x *Exec) (counts, error) {
-					mits, _, err := x.replayMirza(spec.Name, cfg, nil)
-					var c counts
-					for _, m := range mits {
-						c.acts += m.Stats.ACTs
-						c.escaped += m.Stats.Escaped
-						c.mitig += m.Stats.Mitigations
-					}
-					return c, err
-				},
-			})
+		out := make([]core.MirzaStats, len(sets))
+		for k, set := range sets {
+			out[k] = setTotals(set)
 		}
-	}
-	cells, err := runJobs(r, js)
+		return out, nil
+	}))
 	if err != nil {
 		return nil, err
 	}
 	for ti, trhd := range trhds {
 		var acts, escaped, mitig int64
-		for si := range specs {
-			c := cells[ti*len(specs)+si]
-			acts += c.acts
-			escaped += c.escaped
-			mitig += c.mitig
+		for _, cells := range perSpec {
+			acts += cells[ti].ACTs
+			escaped += cells[ti].Escaped
+			mitig += cells[ti].Mitigations
 		}
 		mintW := model.WindowForTRHD(trhd)
 		escape := float64(escaped) / float64(acts)
@@ -334,7 +275,8 @@ func (r *Runner) Table8() (*Table, error) {
 }
 
 // Fig11b reproduces Figure 11(b): ALERTs per 100xtREFI per sub-channel for
-// MIRZA and PRAC. One job per (workload, tracker-config) replay.
+// MIRZA and PRAC. One job per workload: one warm-up pass primes the three
+// MIRZA sets, and one measured pass replays them and a PRAC set.
 func (r *Runner) Fig11b() (*Table, error) {
 	specs, err := r.opts.workloadSpecs()
 	if err != nil {
@@ -347,65 +289,51 @@ func (r *Runner) Fig11b() (*Table, error) {
 		Columns: []string{"Workload", "MIRZA-500", "MIRZA-1K", "MIRZA-2K", "PRAC"},
 	}
 	g := dram.Default()
-	trhds := []int{500, 1000, 2000}
+	cfgs, err := mirzaConfigs([]int{500, 1000, 2000})
+	if err != nil {
+		return nil, err
+	}
 
-	// alertRate converts measured replay stats to the figure's rate.
+	// alertRate converts one set's measured replay stats to the figure's rate.
 	alertRate := func(res replayResult) float64 {
 		var alerts int64
 		for _, s := range res.measured {
 			alerts += s.Alerts
 		}
-		return float64(alerts) / float64(len(res.measured)) / (float64(res.time) / float64(tREFI)) * 100
+		return float64(alerts) / float64(len(res.measured)) / (float64(r.opts.measuredTime()) / float64(tREFI)) * 100
 	}
 
-	// Per workload: three MIRZA configurations then PRAC, in the order
-	// the sequential engine ran them.
-	const perSpec = 4
-	var js []job[float64]
-	for _, spec := range specs {
-		spec := spec
-		for _, trhd := range trhds {
-			trhd := trhd
-			js = append(js, job[float64]{
-				id: fmt.Sprintf("fig11b/%s/mirza-%d", spec.Name, trhd),
-				run: func(x *Exec) (float64, error) {
-					cfg, _ := core.ForTRHD(trhd)
-					_, res, err := x.replayMirza(spec.Name, cfg, nil)
-					if err != nil {
-						return 0, err
-					}
-					return alertRate(res), nil
-				},
-			})
+	// Per workload: the three MIRZA configurations, then PRAC.
+	rates, err := runJobs(r, workloadJobs("fig11b", specs, func(x *Exec, name string) ([]float64, error) {
+		warmed, err := x.warmMirza(name, cfgs)
+		if err != nil {
+			return nil, err
 		}
-		js = append(js, job[float64]{
-			id: "fig11b/" + spec.Name + "/prac",
-			run: func(x *Exec) (float64, error) {
-				b, err := x.buildPolicy("prac", 1000, nil)
-				if err != nil {
-					return 0, err
-				}
-				pracMits := make([]track.Mitigator, g.SubChannels)
-				for j := range pracMits {
-					pracMits[j] = b.Factory()(j, track.NopSink{})
-				}
-				res, err := x.replay(spec.Name, replayPass{kind: measurePass, mits: pracMits})
-				if err != nil {
-					return 0, err
-				}
-				return alertRate(res), nil
-			},
-		})
-	}
-	rates, err := runJobs(r, js)
+		b, err := x.buildPolicy("prac", 1000, nil)
+		if err != nil {
+			return nil, err
+		}
+		prac := make([]track.Mitigator, g.SubChannels)
+		for i := range prac {
+			prac[i] = b.Factory()(i, track.NopSink{})
+		}
+		res, err := x.replay(name, replayPass{kind: measurePass, sets: append(asSets(warmed), prac)})
+		if err != nil {
+			return nil, err
+		}
+		rates := make([]float64, len(res))
+		for k := range res {
+			rates[k] = alertRate(res[k])
+		}
+		return rates, nil
+	}))
 	if err != nil {
 		return nil, err
 	}
-	avg := make([]float64, perSpec)
+	avg := make([]float64, 4)
 	for si, spec := range specs {
 		row := []string{spec.Name}
-		for c := 0; c < perSpec; c++ {
-			rate := rates[si*perSpec+c]
+		for c, rate := range rates[si] {
 			avg[c] += rate
 			row = append(row, f2(rate))
 		}
@@ -418,7 +346,7 @@ func (r *Runner) Fig11b() (*Table, error) {
 }
 
 // Fig13 reproduces Figure 13: the refresh-power overhead of MINT vs MIRZA.
-// One job per (TRHD, workload) replay.
+// One job per workload; its three TRHDs share each replay pass.
 func (r *Runner) Fig13() (*Table, error) {
 	specs, err := r.opts.workloadSpecs()
 	if err != nil {
@@ -433,51 +361,43 @@ func (r *Runner) Fig13() (*Table, error) {
 	}
 	paperMINT := map[int]string{500: "16.4%", 1000: "8.2%", 2000: "4.1%"}
 	trhds := []int{500, 1000, 2000}
-	type counts struct{ acts, mirzaVictims, demandRows int64 }
-	var js []job[counts]
-	for _, trhd := range trhds {
-		cfg, _ := core.ForTRHD(trhd)
-		for _, spec := range specs {
-			cfg, spec := cfg, spec
-			js = append(js, job[counts]{
-				id: fmt.Sprintf("fig13/trhd=%d/%s", trhd, spec.Name),
-				run: func(x *Exec) (counts, error) {
-					// Count MIRZA's mitigations over the measured windows
-					// only, the span demandRows covers.
-					var warm []int64
-					mits, res, err := x.replayMirza(spec.Name, cfg, func(ms []*core.Mirza) {
-						for _, m := range ms {
-							warm = append(warm, m.Stats.Mitigations)
-						}
-					})
-					if err != nil {
-						return counts{}, err
-					}
-					var c counts
-					for i, m := range mits {
-						c.mirzaVictims += (m.Stats.Mitigations - warm[i]) * track.MitigationVictims
-					}
-					for _, s := range res.measured {
-						c.acts += s.ACTs
-						c.demandRows += s.REFs * int64(g.RowsPerREF) * int64(g.BanksPerSubChannel)
-					}
-					return c, nil
-				},
-			})
-		}
+	cfgs, err := mirzaConfigs(trhds)
+	if err != nil {
+		return nil, err
 	}
-	cells, err := runJobs(r, js)
+	type counts struct{ acts, mirzaVictims, demandRows int64 }
+	perSpec, err := runJobs(r, workloadJobs("fig13", specs, func(x *Exec, name string) ([]counts, error) {
+		// Count MIRZA's mitigations over the measured windows only, the
+		// span demandRows covers.
+		var warm []int64
+		sets, res, err := x.replayMirza(name, cfgs, func(sets [][]*core.Mirza) {
+			for _, set := range sets {
+				warm = append(warm, setTotals(set).Mitigations)
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		out := make([]counts, len(sets))
+		for k, set := range sets {
+			out[k].mirzaVictims = (setTotals(set).Mitigations - warm[k]) * track.MitigationVictims
+			for _, s := range res[k].measured {
+				out[k].acts += s.ACTs
+				out[k].demandRows += s.REFs * int64(g.RowsPerREF) * int64(g.BanksPerSubChannel)
+			}
+		}
+		return out, nil
+	}))
 	if err != nil {
 		return nil, err
 	}
 	for ti, trhd := range trhds {
 		mintW := model.WindowForTRHD(trhd)
 		var acts, mirzaVictims, demandRows int64
-		for si := range specs {
-			c := cells[ti*len(specs)+si]
-			acts += c.acts
-			mirzaVictims += c.mirzaVictims
-			demandRows += c.demandRows
+		for _, cells := range perSpec {
+			acts += cells[ti].acts
+			mirzaVictims += cells[ti].mirzaVictims
+			demandRows += cells[ti].demandRows
 		}
 		mintVictims := acts / int64(mintW) * track.MitigationVictims
 		t.AddRow(d(int64(trhd)),
