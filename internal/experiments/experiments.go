@@ -280,9 +280,10 @@ type Runner struct {
 	// same workload baseline block on one computation instead of running
 	// it twice (single-flight).
 	mu           sync.Mutex
-	baselines    map[string]*baselineEntry
+	baselines    map[string]*flight[*Baseline]
 	mlp          map[string]int // calibrated per-workload MSHR budget
 	calibrations map[string]int // times each workload's baseline was computed
+	actsPerSA    map[string]*flight[actsStats]
 
 	// faultLog is the merged log of faults injected under opts.Faults:
 	// per-job logs folded in deterministic job-submission order.
@@ -299,11 +300,27 @@ type Runner struct {
 	runCtx context.Context
 }
 
-// baselineEntry is the single-flight slot for one workload's baseline.
-type baselineEntry struct {
+// flight is the single-flight slot for one workload's value in one of the
+// Runner's calibration maps.
+type flight[T any] struct {
 	once sync.Once
-	b    *Baseline
+	v    T
 	err  error
+}
+
+// singleFlight returns m's value for name, computing it on first use: a
+// concurrent caller for the same name waits on that one computation, and
+// its error, if any, stays with the name. m is guarded by r.mu.
+func singleFlight[T any](r *Runner, m map[string]*flight[T], name string, compute func() (T, error)) (T, error) {
+	r.mu.Lock()
+	f, ok := m[name]
+	if !ok {
+		f = &flight[T]{}
+		m[name] = f
+	}
+	r.mu.Unlock()
+	f.once.Do(func() { f.v, f.err = compute() })
+	return f.v, f.err
 }
 
 // NewRunner builds a Runner over opts.
@@ -311,7 +328,8 @@ func NewRunner(opts Options) *Runner {
 	opts.setDefaults()
 	return &Runner{
 		opts:         opts,
-		baselines:    make(map[string]*baselineEntry),
+		baselines:    make(map[string]*flight[*Baseline]),
+		actsPerSA:    make(map[string]*flight[actsStats]),
 		mlp:          make(map[string]int),
 		calibrations: make(map[string]int),
 		faultLog:     fault.NewLog(),
@@ -429,15 +447,7 @@ type Baseline struct {
 // options), so the result is bit-identical to the sequential engine's no
 // matter which job triggers it first.
 func (r *Runner) Baseline(name string) (*Baseline, error) {
-	r.mu.Lock()
-	e, ok := r.baselines[name]
-	if !ok {
-		e = &baselineEntry{}
-		r.baselines[name] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() { e.b, e.err = r.computeBaseline(name) })
-	return e.b, e.err
+	return singleFlight(r, r.baselines, name, func() (*Baseline, error) { return r.computeBaseline(name) })
 }
 
 // computeBaseline performs the uncached baseline run. It executes inside
@@ -702,6 +712,11 @@ type replayPass struct {
 	afterWarm func()
 	// obs, if set, sees every activation of the measured windows.
 	obs replay.Observer
+	// countOnly passes each ACT to the sets' members through OnActivate
+	// alone: nothing polls or services their ALERTs, so the results'
+	// Alerts read 0. It suits readers of activation counts only, such as
+	// MIRZA's Filtered, which no ALERT changes.
+	countOnly bool
 }
 
 // replayResult is what one tracker set saw in a pass, per sub-channel. A
@@ -725,12 +740,19 @@ func (o Options) measuredTime() dram.Time {
 // Replay has no ALERT back-pressure, so the stream does not depend on the
 // trackers, and each member sees exactly what a pass of its own would.
 type fanOut struct {
-	members []track.Mitigator
-	alerts  []int64 // alerts[k] counts member k's serviced ALERTs
+	members   []track.Mitigator
+	alerts    []int64 // alerts[k] counts member k's serviced ALERTs
+	countOnly bool    // see replayPass.countOnly
 }
 
 func (f *fanOut) Name() string { return "fan-out" }
 func (f *fanOut) OnActivate(bank, row int, now dram.Time) {
+	if f.countOnly {
+		for _, m := range f.members {
+			m.OnActivate(bank, row, now)
+		}
+		return
+	}
 	for k, m := range f.members {
 		m.OnActivate(bank, row, now)
 		if m.WantsALERT() {
@@ -784,7 +806,7 @@ func (x *Exec) replay(name string, p replayPass) ([]replayResult, error) {
 	fans := make([]*fanOut, dram.Default().SubChannels)
 	mits := make([]track.Mitigator, len(fans))
 	for i := range fans {
-		fans[i] = &fanOut{alerts: make([]int64, len(p.sets))}
+		fans[i] = &fanOut{alerts: make([]int64, len(p.sets)), countOnly: p.countOnly}
 		mits[i] = fans[i]
 	}
 	res := make([]replayResult, len(p.sets))

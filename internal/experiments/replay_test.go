@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mirza/internal/core"
+	"mirza/internal/dram"
 	"mirza/internal/fault"
 	"mirza/internal/replay"
 	"mirza/internal/telemetry"
@@ -136,13 +137,14 @@ func TestReplaySetsMatchSeparatePasses(t *testing.T) {
 }
 
 // TestTable6HonoursFaultPlan: Table 6's trackers run under the fault plan
-// and flush their telemetry like every other replay's.
+// and flush their telemetry like every other replay's. Under a plan the
+// pass polls and services ALERTs, so the plan's ALERT faults fire too.
 func TestTable6HonoursFaultPlan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays two refresh windows")
 	}
 	opts := quickOpts()
-	plan, err := fault.Parse("seed=7,bitflip=2e-6")
+	plan, err := fault.Parse("seed=7,bitflip=2e-6,alertdrop=0.3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +157,9 @@ func TestTable6HonoursFaultPlan(t *testing.T) {
 	if n := r.FaultLog().Count(fault.BitFlip); n == 0 {
 		t.Errorf("table6 logged no bit flips under %v", plan)
 	}
+	if n := r.FaultLog().Count(fault.AlertDrop); n == 0 {
+		t.Errorf("table6 logged no ALERT drops under %v", plan)
+	}
 	var acts int64
 	for _, c := range opts.Telemetry.Snapshot().Counters {
 		if c.Name == "track_acts_total" && c.Labels["layer"] == "replay" {
@@ -163,5 +168,69 @@ func TestTable6HonoursFaultPlan(t *testing.T) {
 	}
 	if acts == 0 {
 		t.Error("table6 flushed no replay tracker telemetry")
+	}
+}
+
+// callMit always wants an ALERT and counts the calls it gets.
+type callMit struct {
+	acts, refs, polls, services int
+}
+
+func (m *callMit) Name() string                            { return "calls" }
+func (m *callMit) OnRFM(bank int, now dram.Time)           {}
+func (m *callMit) OnActivate(bank, row int, now dram.Time) { m.acts++ }
+func (m *callMit) OnREF(refIndex int, now dram.Time)       { m.refs++ }
+func (m *callMit) WantsALERT() bool                        { m.polls++; return true }
+func (m *callMit) ServiceALERT(now dram.Time)              { m.services++ }
+
+// TestFanOutCountOnly: a count-only fan-out hands its members every ACT and
+// REF but never polls or services an ALERT; the default one does both.
+func TestFanOutCountOnly(t *testing.T) {
+	for _, countOnly := range []bool{true, false} {
+		ms := []*callMit{{}, {}}
+		f := &fanOut{members: []track.Mitigator{ms[0], ms[1]}, alerts: make([]int64, 2), countOnly: countOnly}
+		for i := 0; i < 3; i++ {
+			f.OnActivate(1, 2, dram.Time(i))
+		}
+		f.OnREF(0, 5)
+		want := callMit{acts: 3, refs: 1, polls: 3, services: 3}
+		wantAlerts := []int64{3, 3}
+		if countOnly {
+			want.polls, want.services, wantAlerts = 0, 0, []int64{0, 0}
+		}
+		for k, m := range ms {
+			if *m != want {
+				t.Errorf("countOnly=%v member %d: %+v, want %+v", countOnly, k, *m, want)
+			}
+		}
+		if !reflect.DeepEqual(f.alerts, wantAlerts) {
+			t.Errorf("countOnly=%v: alerts %v, want %v", countOnly, f.alerts, wantAlerts)
+		}
+	}
+}
+
+// TestActsPerSubarrayShared: Table 4 and Fig 6 read one unprotected pass
+// per workload from the Runner.
+func TestActsPerSubarrayShared(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays two refresh windows")
+	}
+	r := NewRunner(quickOpts())
+	if _, err := r.Table4(); err != nil {
+		t.Fatal(err)
+	}
+	e := r.actsPerSA["xz"]
+	if e == nil || len(r.actsPerSA) != 1 {
+		t.Fatalf("after table4: %d memo entries, xz's %v", len(r.actsPerSA), e)
+	}
+	tab, err := r.Fig6()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.actsPerSA["xz"] != e || len(r.actsPerSA) != 1 {
+		t.Fatal("fig6 replaced or added a memo entry")
+	}
+	if got, want := tab.Rows[0][1], f1(e.v.mean); got != want {
+		t.Errorf("fig6 xz reads %s, the shared pass %s", got, want)
 	}
 }

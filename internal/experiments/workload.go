@@ -25,19 +25,19 @@ func (r *Runner) Table4() (*Table, error) {
 			"ACT/SA mean", "ACT/SA sigma", "paper mean+/-sigma"},
 	}
 	type cell struct {
-		base       *Baseline
-		mean, sdev float64
+		base *Baseline
+		acts actsStats
 	}
 	cells, err := runJobs(r, workloadJobs("table4", specs, func(x *Exec, name string) (cell, error) {
 		base, err := x.Baseline(name)
 		if err != nil {
 			return cell{}, err
 		}
-		mean, sdev, err := x.actsPerSubarray(name)
+		acts, err := x.actsPerSubarray(name)
 		if err != nil {
 			return cell{}, err
 		}
-		return cell{base, mean, sdev}, nil
+		return cell{base, acts}, nil
 	}))
 	if err != nil {
 		return nil, err
@@ -46,13 +46,13 @@ func (r *Runner) Table4() (*Table, error) {
 	for i, spec := range specs {
 		c := cells[i]
 		t.AddRow(spec.Name, f1(c.base.MPKI), f1(c.base.ACTPKI), f1(c.base.BusUtil),
-			f1(c.mean), f1(c.sdev),
+			f1(c.acts.mean), f1(c.acts.sdev),
 			fmt.Sprintf("%.0f +/- %.0f", spec.ActSAMean, spec.ActSASdev))
 		avgMPKI += c.base.MPKI
 		avgACT += c.base.ACTPKI
 		avgBus += c.base.BusUtil
-		avgMean += c.mean
-		avgSdev += c.sdev
+		avgMean += c.acts.mean
+		avgSdev += c.acts.sdev
 	}
 	n := float64(len(specs))
 	t.AddRow("Average", f1(avgMPKI/n), f1(avgACT/n), f1(avgBus/n),
@@ -61,10 +61,20 @@ func (r *Runner) Table4() (*Table, error) {
 	return t, nil
 }
 
-// actsPerSubarray replays the workload and returns the mean and standard
-// deviation of activations per subarray per tREFW (strided R2SA), averaged
-// over banks.
-func (x *Exec) actsPerSubarray(name string) (mean, sdev float64, err error) {
+// actsStats is the mean and standard deviation of activations per
+// subarray per tREFW.
+type actsStats struct{ mean, sdev float64 }
+
+// actsPerSubarray returns the mean and standard deviation of activations
+// per subarray per tREFW (strided R2SA), averaged over banks, from one
+// unprotected measured pass per workload that Table 4 and Fig 6 share,
+// single-flight like Runner.Baseline.
+func (x *Exec) actsPerSubarray(name string) (actsStats, error) {
+	return singleFlight(x.r, x.r.actsPerSA, name, func() (actsStats, error) { return x.replayActsPerSubarray(name) })
+}
+
+// replayActsPerSubarray is actsPerSubarray's uncached pass.
+func (x *Exec) replayActsPerSubarray(name string) (actsStats, error) {
 	g := dram.Default()
 	counts := make([][]int64, g.SubChannels*g.BanksPerSubChannel)
 	for i := range counts {
@@ -73,7 +83,7 @@ func (x *Exec) actsPerSubarray(name string) (mean, sdev float64, err error) {
 	if _, err := x.replay(name, replayPass{kind: measurePass, obs: func(sub, bank, row int, now dram.Time) {
 		counts[sub*g.BanksPerSubChannel+bank][g.Subarray(dram.StridedR2SA, row)]++
 	}}); err != nil {
-		return 0, 0, err
+		return actsStats{}, err
 	}
 	// The observer saw only the measured windows; normalize to one tREFW.
 	scale := float64(dram.DDR5().TREFW) / float64(x.r.opts.measuredTime())
@@ -83,7 +93,7 @@ func (x *Exec) actsPerSubarray(name string) (mean, sdev float64, err error) {
 			agg.Add(float64(c) * scale)
 		}
 	}
-	return agg.Mean(), agg.StdDev(), nil
+	return actsStats{agg.Mean(), agg.StdDev()}, nil
 }
 
 // Fig6 reproduces Figure 6: average ACTs per subarray per tREFW for every
@@ -99,8 +109,8 @@ func (r *Runner) Fig6() (*Table, error) {
 		Columns: []string{"Workload", "ACTs/subarray/tREFW", "paper"},
 	}
 	means, err := runJobs(r, workloadJobs("fig6", specs, func(x *Exec, name string) (float64, error) {
-		mean, _, err := x.actsPerSubarray(name)
-		return mean, err
+		acts, err := x.actsPerSubarray(name)
+		return acts.mean, err
 	}))
 	if err != nil {
 		return nil, err
@@ -120,7 +130,7 @@ func (r *Runner) Fig6() (*Table, error) {
 // Table6 reproduces Table VI: the fraction of activations filtered by CGF
 // under sequential vs strided row-to-subarray mapping, as FTH varies. One
 // job per workload; each job replays the workload once through one MIRZA
-// set per (mapping, FTH) pair.
+// set per (mapping, FTH) pair, counts only unless a fault plan is set.
 func (r *Runner) Table6() (*Table, error) {
 	specs, err := r.opts.workloadSpecs()
 	if err != nil {
@@ -156,7 +166,13 @@ func (r *Runner) Table6() (*Table, error) {
 				warm[k] = setTotals(set)
 			}
 		}
-		if _, err := x.replay(name, replayPass{kind: measurePass, sets: asSets(sets), afterWarm: snapshot}); err != nil {
+		// Table 6 reads only ACTs and Filtered, which ALERTs never change
+		// on fault-free trackers, so without a fault plan nothing services
+		// them. Under a plan the queues drain as in hardware: a bit flip
+		// can land in the queue or the Region Count Table depending on
+		// what servicing left behind.
+		countOnly := x.r.opts.Faults.Empty()
+		if _, err := x.replay(name, replayPass{kind: measurePass, sets: asSets(sets), afterWarm: snapshot, countOnly: countOnly}); err != nil {
 			return nil, err
 		}
 		out := make([]core.MirzaStats, len(sets))

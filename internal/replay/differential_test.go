@@ -173,8 +173,16 @@ type diffCase struct {
 
 func (dc diffCase) mits(t *testing.T) []track.Mitigator {
 	g := dram.Default()
-	if dc.policy == "" {
+	switch dc.policy {
+	case "":
 		return nil
+	case "record":
+		calls := new([]mitCall)
+		mits := make([]track.Mitigator, g.SubChannels)
+		for sub := range mits {
+			mits[sub] = &recMit{sub: sub, calls: calls}
+		}
+		return mits
 	}
 	b, err := track.Build(dc.policy, nil, track.Config{Geometry: g, Mapping: dram.StridedR2SA, TRHD: 500, Seed: 3})
 	if err != nil {
@@ -221,13 +229,119 @@ func diffCases(t *testing.T) []diffCase {
 		}
 		return gs
 	}
+	// tiedGens gives every core the same gaps, so all cores sit on equal
+	// clocks at every op, and lines that crowd a few banks, so the order
+	// the merge breaks each tie in decides which accesses activate.
+	tiedGens := func(cores int) func(*testing.T) []trace.Generator {
+		return func(t *testing.T) []trace.Generator {
+			var gs []trace.Generator
+			for c := 0; c < cores; c++ {
+				ops := make([]trace.Op, 64+c)
+				for i := range ops {
+					ops[i] = trace.Op{Gap: int64(i%5) * 7, Line: uint64(i*3+c) % 97 * 4099}
+				}
+				g, err := trace.NewOps(fmt.Sprintf("tied%d", c), ops)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gs = append(gs, g)
+			}
+			return gs
+		}
+	}
+	// spillGens claim a footprint of 1.5 superblocks but touch lines over
+	// six, so part of every stream lands past the prefaulted superblocks
+	// and first touches allocate them in merge order across cores.
+	spillGens := func(t *testing.T) []trace.Generator {
+		const superLines = vmap.SuperBytes / trace.LineBytes
+		var gs []trace.Generator
+		for c := 0; c < 4; c++ {
+			ops := make([]trace.Op, 200+c*37)
+			for i := range ops {
+				ops[i] = trace.Op{Gap: int64((i*13 + c*5) % 40), Line: uint64((i*7+c)%6)*superLines + uint64(i*4099+c*811)%superLines}
+			}
+			g, err := trace.NewOps(fmt.Sprintf("spill%d", c), ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs = append(gs, footprintGen{g, vmap.SuperBytes * 3 / 2})
+		}
+		return gs
+	}
+	// exactGens run 39 instructions per op at 1e9 per core, so every op
+	// issues at a multiple of 39 ns, and one op of each core lands exactly
+	// on every REF (tREFI is 3900 ns).
+	exactGens := func(t *testing.T) []trace.Generator {
+		var gs []trace.Generator
+		for c := 0; c < 2; c++ {
+			ops := make([]trace.Op, 50)
+			for i := range ops {
+				ops[i] = trace.Op{Gap: 38, Line: uint64(i*8191+c*131) % (1 << 20)}
+			}
+			g, err := trace.NewOps(fmt.Sprintf("exact%d", c), ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs = append(gs, g)
+		}
+		return gs
+	}
+	tREFI := dram.DDR5().TREFI
+	if tREFI != 3900*dram.Nanosecond {
+		t.Fatalf("tREFI %v: exactGens need 3900 ns", tREFI)
+	}
 	return []diffCase{
 		{name: "fotonik3d", ips: 8e9, policy: "mirza", gens: synthetic("fotonik3d"), slice: 23 * dram.Microsecond, slices: 30},
 		{name: "mix_1", ips: 8e9, policy: "mint-rfm", gens: synthetic("mix_1"), slice: 31 * dram.Microsecond, slices: 25},
 		{name: "ops", ips: 3e9, gens: opsGens, slice: 11 * dram.Microsecond, slices: 60},
 		{name: "tenants", ips: 5e9, asids: []int{0, 0, 1, 1, 1}, policy: "mirza", gens: tenants, slice: 3 * dram.Microsecond, slices: 40},
+		{name: "tied3", ips: 3e9, policy: "mirza", gens: tiedGens(3), slice: 7 * dram.Microsecond, slices: 30},
+		{name: "tied5", ips: 5e9, gens: tiedGens(5), slice: 7 * dram.Microsecond, slices: 30},
+		{name: "tied8", ips: 8e9, policy: "mint-rfm", gens: tiedGens(8), slice: 7 * dram.Microsecond, slices: 30},
+		{name: "spill", ips: 4e9, asids: []int{0, 1, 1, 2}, gens: spillGens, slice: 5 * dram.Microsecond, slices: 40},
+		{name: "refTies", ips: 2e9, policy: "record", gens: exactGens, slice: 17 * dram.Microsecond, slices: 20},
+		// Every window ends exactly on a REF: Run must fire it, once.
+		{name: "refEdges", ips: 8e9, policy: "mirza", gens: synthetic("xz"), slice: tREFI, slices: 40},
+		{name: "refEdges3", ips: 8e9, gens: synthetic("mcf"), slice: 3 * tREFI, slices: 20},
 	}
 }
+
+// mitCall is one call a Runner made on a mitigator.
+type mitCall struct {
+	sub  int
+	kind byte // 'A' for OnActivate(a=bank, b=row), 'R' for OnREF(a=index)
+	a, b int
+	at   dram.Time
+}
+
+// recMit records the calls on one sub-channel into a log shared by all
+// sub-channels, so a comparison sees where each REF falls among the ACTs.
+type recMit struct {
+	sub   int
+	calls *[]mitCall
+	acts  int64
+}
+
+func (m *recMit) Name() string { return "record" }
+func (m *recMit) OnActivate(bank, row int, now dram.Time) {
+	m.acts++
+	*m.calls = append(*m.calls, mitCall{m.sub, 'A', bank, row, now})
+}
+func (m *recMit) WantsALERT() bool { return false }
+func (m *recMit) OnREF(refIndex int, now dram.Time) {
+	*m.calls = append(*m.calls, mitCall{m.sub, 'R', refIndex, 0, now})
+}
+func (m *recMit) OnRFM(bank int, now dram.Time) {}
+func (m *recMit) ServiceALERT(now dram.Time)    {}
+func (m *recMit) TrackStats() track.Stats       { return track.Stats{ACTs: m.acts} }
+
+// footprintGen reports a footprint of its own choosing.
+type footprintGen struct {
+	trace.Generator
+	bytes uint64
+}
+
+func (g footprintGen) FootprintBytes() uint64 { return g.bytes }
 
 // TestDifferentialAgainstSequential replays each case through Runner and
 // through the sequential oracle in many short Run windows, so chunk and Run
@@ -272,6 +386,17 @@ func TestDifferentialAgainstSequential(t *testing.T) {
 					}
 					if got.Now() != want.now {
 						t.Fatalf("slice %d: now %v, oracle %v", i, got.Now(), want.now)
+					}
+				}
+				if dc.policy == "record" {
+					g, w := *gotMits[0].(*recMit).calls, *wantMits[0].(*recMit).calls
+					for k := range min(len(g), len(w)) {
+						if g[k] != w[k] {
+							t.Fatalf("mitigator call %d: %+v, oracle %+v", k, g[k], w[k])
+						}
+					}
+					if len(g) != len(w) {
+						t.Fatalf("%d mitigator calls, oracle %d", len(g), len(w))
 					}
 				}
 				for sub := range gotMits {

@@ -1,6 +1,9 @@
 package replay
 
 import (
+	"math"
+	"math/bits"
+
 	"mirza/internal/dram"
 	"mirza/internal/trace"
 )
@@ -15,12 +18,24 @@ const (
 	chunksPerCore = 2
 )
 
-// feedOp is one generated op, resolved to what Run needs: the core's clock
-// when the op issues and the virtual line it touches.
+// feedOp is one generated op, resolved to what Run needs: its merge key
+// and the virtual line it touches.
+//
+// A merge key packs the core's clock at the op above the core's index,
+// at<<coreBits | core, with coreBits just wide enough for the largest
+// index. The smallest key is then the earliest core, ties to the lowest
+// index, so Run picks the next core with a branch-free min (DESIGN.md
+// §22). A clock past the horizon, 2^63-1 >> coreBits ps, saturates at it;
+// Run never replays past the horizon, so a saturated core never issues and
+// a key never wraps.
 type feedOp struct {
-	at   dram.Time
+	key  uint64
 	line uint64
 }
+
+// maxCores bounds the core count: it keeps the horizon at 2^53 ps, about
+// 2.5 hours of replayed time, or later.
+const maxCores = 1 << 10
 
 type chunk struct {
 	core int
@@ -36,10 +51,12 @@ type cursor struct {
 type feed struct {
 	// Producer state: touched only by fill, which runs in NewRunner and
 	// then on the producer goroutine between start and stop.
-	gens    []trace.Generator
-	op      []trace.Op // per core: the one Op its Next always fills, holding the previous op
-	instr   []float64  // per core: cumulative instructions
-	perCore float64    // per-core instructions per second
+	gens     []trace.Generator
+	op       []trace.Op // per core: the one Op its Next always fills, holding the previous op
+	instr    []float64  // per core: cumulative instructions
+	perCore  float64    // per-core instructions per second
+	coreBits uint       // the width of a merge key's core field
+	horizon  dram.Time  // the latest clock a merge key holds
 
 	// Consumer state: touched only on Run's goroutine.
 	cur []cursor
@@ -55,15 +72,18 @@ type feed struct {
 // the producer.
 func newFeed(gens []trace.Generator, ips float64) *feed {
 	n := len(gens)
+	coreBits := uint(bits.Len(uint(n - 1)))
 	f := &feed{
-		gens:    gens,
-		op:      make([]trace.Op, n),
-		instr:   make([]float64, n),
-		perCore: ips / float64(n),
-		cur:     make([]cursor, n),
-		full:    make([]chan *chunk, n),
-		free:    make(chan *chunk, n*chunksPerCore+1), // every chunk plus the stop marker
-		done:    make(chan struct{}, 1),
+		gens:     gens,
+		op:       make([]trace.Op, n),
+		instr:    make([]float64, n),
+		perCore:  ips / float64(n),
+		coreBits: coreBits,
+		horizon:  math.MaxInt64 >> coreBits,
+		cur:      make([]cursor, n),
+		full:     make([]chan *chunk, n),
+		free:     make(chan *chunk, n*chunksPerCore+1), // every chunk plus the stop marker
+		done:     make(chan struct{}, 1),
 	}
 	f.produce = f.run
 	ops := make([]feedOp, n*chunksPerCore*chunkOps)
@@ -83,14 +103,21 @@ func newFeed(gens []trace.Generator, ips float64) *feed {
 	return f
 }
 
-// fill draws the next chunkOps ops of ch's core.
+// fill draws the next chunkOps ops of ch's core. A clock past the horizon
+// saturates at it, and one below zero, which only negative gaps can give,
+// counts as zero.
 func (f *feed) fill(ch *chunk) {
 	c := ch.core
 	g, op, instr := f.gens[c], &f.op[c], f.instr[c]
+	horizon := float64(f.horizon)
 	for i := range ch.ops {
 		g.Next(op)
 		instr += float64(op.Gap + 1)
-		ch.ops[i] = feedOp{at: dram.Time(instr / f.perCore * 1e12), line: op.Line}
+		at := f.horizon
+		if t := instr / f.perCore * 1e12; t < horizon {
+			at = max(dram.Time(t), 0)
+		}
+		ch.ops[i] = feedOp{key: uint64(at)<<f.coreBits | uint64(c), line: op.Line}
 	}
 	f.instr[c] = instr
 }

@@ -85,12 +85,13 @@ type Runner struct {
 	asids  []int
 
 	feed     *feed
-	coreAt   []dram.Time // per core: the time of its next op
-	coreLine []uint64    // per core: the virtual line of its next op
+	coreKey  []uint64 // per core: the merge key of its next op (see feedOp)
+	coreLine []uint64 // per core: the virtual line of its next op
 
-	banks  [][]bankRow // [sub][bank]
-	refDue []dram.Time
-	refIdx []int
+	banks   [][]bankRow // [sub][bank]
+	refDue  []dram.Time
+	refIdx  []int
+	refNext dram.Time // the earliest refDue
 
 	now   dram.Time
 	stats []Stats
@@ -108,6 +109,9 @@ func NewRunner(cfg Config, gens []trace.Generator, mits []track.Mitigator) (*Run
 	}
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("replay: need at least one generator")
+	}
+	if len(gens) > maxCores {
+		return nil, fmt.Errorf("replay: %d cores, at most %d", len(gens), maxCores)
 	}
 	// A core's clock is its cumulative instruction count over the per-core
 	// rate; one instruction must span a representable time, or the clock
@@ -147,10 +151,11 @@ func NewRunner(cfg Config, gens []trace.Generator, mits []track.Mitigator) (*Run
 		mapper:   vmap.NewMapper(cfg.Geometry.CapacityBytes()),
 		mits:     mits,
 		asids:    asids,
-		coreAt:   make([]dram.Time, len(gens)),
+		coreKey:  make([]uint64, len(gens)),
 		coreLine: make([]uint64, len(gens)),
 		refDue:   make([]dram.Time, cfg.Geometry.SubChannels),
 		refIdx:   make([]int, cfg.Geometry.SubChannels),
+		refNext:  cfg.Timing.TREFI,
 		stats:    make([]Stats, cfg.Geometry.SubChannels),
 	}
 	r.banks = make([][]bankRow, cfg.Geometry.SubChannels)
@@ -172,7 +177,7 @@ func NewRunner(cfg Config, gens []trace.Generator, mits []track.Mitigator) (*Run
 	r.feed = newFeed(gens, cfg.IPS)
 	for c := range gens {
 		op := r.feed.head(c)
-		r.coreAt[c], r.coreLine[c] = op.at, op.line
+		r.coreKey[c], r.coreLine[c] = op.key, op.line
 	}
 	return r, nil
 }
@@ -187,25 +192,35 @@ func (r *Runner) Stats() []Stats { return append([]Stats(nil), r.stats...) }
 func (r *Runner) Mitigators() []track.Mitigator { return r.mits }
 
 // Run replays until the clock reaches the given absolute time. obs may be
-// nil. A panic in a generator re-panics here with its original value.
+// nil. A panic in a generator re-panics here with its original value. Run
+// panics if until lies past the merge-key horizon, 2^63 ps over the core
+// count rounded up to a power of two.
 func (r *Runner) Run(until dram.Time, obs Observer) {
+	if h := r.feed.horizon; until > h {
+		panic(fmt.Sprintf("replay: Run until %d ps lies past the merge-key horizon of %d cores, %d ps", until, len(r.coreKey), h))
+	}
 	r.feed.start()
 	defer r.feed.stop()
+	keys, shift := r.coreKey, r.feed.coreBits
+	mask := uint64(1)<<shift - 1
 	for {
-		// Next core event: the earliest core, ties to the lowest index.
-		c := 0
-		tc := r.coreAt[0]
-		for i := 1; i < len(r.coreAt); i++ {
-			if ti := r.coreAt[i]; ti < tc {
-				c, tc = i, ti
-			}
+		// Next core event: the smallest key is the earliest core, ties to
+		// the lowest index. Keys stay below 2^63, so the sign of ki-k
+		// picks the smaller one without a branch.
+		k := keys[0]
+		for _, ki := range keys[1:] {
+			d := ki - k
+			k += d & uint64(int64(d)>>63)
 		}
+		c, tc := int(k&mask), dram.Time(k>>shift)
 		if tc >= until {
 			r.fireREFs(until)
 			r.now = until
 			return
 		}
-		r.fireREFs(tc)
+		if tc >= r.refNext {
+			r.fireREFs(tc)
+		}
 		r.now = tc
 
 		phys := r.mapper.Translate(r.asids[c], r.coreLine[c]*trace.LineBytes)
@@ -232,11 +247,14 @@ func (r *Runner) Run(until dram.Time, obs Observer) {
 
 		// Advance the core to its next operation.
 		op := r.feed.next(c)
-		r.coreAt[c], r.coreLine[c] = op.at, op.line
+		keys[c], r.coreLine[c] = op.key, op.line
 	}
 }
 
+// fireREFs issues every REF due by upTo, sub-channel by sub-channel, and
+// moves refNext to the earliest one still pending.
 func (r *Runner) fireREFs(upTo dram.Time) {
+	next := dram.Time(math.MaxInt64)
 	for sub := range r.refDue {
 		for r.refDue[sub] <= upTo {
 			r.stats[sub].REFs++
@@ -246,5 +264,7 @@ func (r *Runner) fireREFs(upTo dram.Time) {
 			r.refIdx[sub]++
 			r.refDue[sub] += r.cfg.Timing.TREFI
 		}
+		next = min(next, r.refDue[sub])
 	}
+	r.refNext = next
 }

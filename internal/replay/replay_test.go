@@ -2,6 +2,9 @@ package replay
 
 import (
 	"math"
+	"math/bits"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,6 +134,9 @@ func TestReplayValidation(t *testing.T) {
 		// the core clocks never advance.
 		{"one instruction in exactly 1 ps", Config{IPS: 8e12}, 8, true},
 		{"one instruction in 0.8 ps", Config{IPS: 1e13}, 8, false},
+		// Past 2^62 ps a 2-core clock saturates at the merge-key horizon:
+		// the cores never issue, and Run still returns.
+		{"clocks past the merge-key horizon", Config{IPS: 1e-6}, 2, true},
 	} {
 		r, err := NewRunner(tc.cfg, gens(t, "mcf", tc.cores), nil)
 		if (err == nil) != tc.ok {
@@ -150,5 +156,49 @@ func TestReplayValidation(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: Run(10µs) did not return", tc.name)
 		}
+	}
+
+	// The core count is capped so a core index fits a merge key's low bits.
+	opsGens := func(n int) []trace.Generator {
+		ops := []trace.Op{{Gap: 3, Line: 1}, {Gap: 40, Line: 1 << 12}}
+		gs := make([]trace.Generator, n)
+		for c := range gs {
+			g, err := trace.NewOps("tiny", ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs[c] = g
+		}
+		return gs
+	}
+	if _, err := NewRunner(Config{IPS: 1e9}, opsGens(maxCores+1), nil); err == nil {
+		t.Errorf("%d cores must be rejected", maxCores+1)
+	}
+	r, err := NewRunner(Config{IPS: 1e9}, opsGens(maxCores), nil)
+	if err != nil {
+		t.Fatalf("%d cores: %v", maxCores, err)
+	}
+	r.Run(10*dram.Microsecond, nil)
+
+	// Run refuses an end time past the merge-key horizon by name, before
+	// it starts the producer.
+	for _, cores := range []int{2, 3, 8, maxCores} {
+		r, err := NewRunner(Config{IPS: 1e9}, opsGens(cores), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		got := make(chan any, 1)
+		horizon := dram.Time(math.MaxInt64 >> bits.Len(uint(cores-1)))
+		go func() { got <- runPanics(r, horizon+1) }()
+		select {
+		case v := <-got:
+			if msg, ok := v.(string); !ok || !strings.Contains(msg, "merge-key horizon") {
+				t.Errorf("%d cores: Run past the horizon panicked with %v, want the horizon named", cores, v)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d cores: Run past the horizon did not panic", cores)
+		}
+		waitGoroutines(t, before)
 	}
 }
