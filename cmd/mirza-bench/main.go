@@ -239,16 +239,7 @@ func main() {
 			if res.Degraded {
 				marker = " [DEGRADED: reduced fidelity]"
 			}
-			// Busy sums every job's wall-clock: an estimate of what a
-			// one-worker (-j 1) run would need, hence busy/duration
-			// estimates the parallel speedup actually achieved.
-			if res.Jobs > 0 && res.Duration > 0 {
-				fmt.Printf("(%s took %.1fs%s; %d jobs, %.1fs busy, est speedup %.1fx vs -j 1)\n\n",
-					res.ID, res.Duration.Seconds(), marker, res.Jobs,
-					res.Busy.Seconds(), res.Busy.Seconds()/res.Duration.Seconds())
-			} else {
-				fmt.Printf("(%s took %.1fs%s)\n\n", res.ID, res.Duration.Seconds(), marker)
-			}
+			fmt.Printf("%s\n\n", tookLine(res, marker))
 		}
 	}
 
@@ -274,6 +265,27 @@ func main() {
 	case sum.Degraded > 0:
 		os.Exit(3)
 	}
+}
+
+// minEstBusy is the least busy time tookLine estimates a speedup from.
+// An experiment whose work came from a Runner memo (Fig 6 after Table 4)
+// is busy for milliseconds, and a ratio of two such durations is noise.
+const minEstBusy = time.Second
+
+// tookLine reports an experiment's wall time and, when it ran engine jobs,
+// their count and busy time. Busy sums every job's wall-clock: an estimate
+// of what a one-worker (-j 1) run would need, hence busy/duration
+// estimates the parallel speedup actually achieved, printed from
+// minEstBusy up.
+func tookLine(res experiments.Result, marker string) string {
+	line := fmt.Sprintf("(%s took %.1fs%s", res.ID, res.Duration.Seconds(), marker)
+	if res.Jobs > 0 && res.Duration > 0 {
+		line += fmt.Sprintf("; %d jobs, %.1fs busy", res.Jobs, res.Busy.Seconds())
+		if res.Busy >= minEstBusy {
+			line += fmt.Sprintf(", est speedup %.1fx vs -j 1", res.Busy.Seconds()/res.Duration.Seconds())
+		}
+	}
+	return line + ")"
 }
 
 // runShard is the sweep worker mode (-shard/-shard-out): it reads one

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"mirza/internal/dram"
 	"mirza/internal/experiments"
@@ -47,6 +48,31 @@ func TestScaleWindows(t *testing.T) {
 			t.Errorf("(%v, %v, %d): err = %v, want an error naming %s", tc.measure, tc.warmup, tc.windows, err, tc.want)
 		case tc.check != nil && !tc.check(got):
 			t.Errorf("(%v, %v, %d): options %+v", tc.measure, tc.warmup, tc.windows, got)
+		}
+	}
+}
+
+// TestTookLine: an experiment served from a Runner memo (Fig 6 after Table
+// 4, busy for milliseconds) gets no speedup estimate, an ordinary one does,
+// and both keep the job count and busy time.
+func TestTookLine(t *testing.T) {
+	cases := []struct {
+		res    experiments.Result
+		marker string
+		want   string
+	}{
+		{experiments.Result{ID: "fig6", Duration: 40 * time.Millisecond, Jobs: 3, Busy: 12 * time.Millisecond}, "",
+			"(fig6 took 0.0s; 3 jobs, 0.0s busy)"},
+		{experiments.Result{ID: "table8", Duration: 6 * time.Second, Jobs: 3, Busy: 11 * time.Second}, "",
+			"(table8 took 6.0s; 3 jobs, 11.0s busy, est speedup 1.8x vs -j 1)"},
+		{experiments.Result{ID: "fig3", Duration: 2 * time.Second, Jobs: 4, Busy: 3 * time.Second}, " [DEGRADED: reduced fidelity]",
+			"(fig3 took 2.0s [DEGRADED: reduced fidelity]; 4 jobs, 3.0s busy, est speedup 1.5x vs -j 1)"},
+		{experiments.Result{ID: "table7", Duration: 300 * time.Millisecond}, "",
+			"(table7 took 0.3s)"},
+	}
+	for _, tc := range cases {
+		if got := tookLine(tc.res, tc.marker); got != tc.want {
+			t.Errorf("tookLine(%s) = %q, want %q", tc.res.ID, got, tc.want)
 		}
 	}
 }

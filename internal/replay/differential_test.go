@@ -215,8 +215,9 @@ func diffCases(t *testing.T) []diffCase {
 	opsGens := func(t *testing.T) []trace.Generator {
 		// Short loops of different lengths: each wraps many times, and
 		// the loops drift against each other and against the chunking.
+		// One straddles a chunk and one the whole of a core's chunks.
 		var gs []trace.Generator
-		for c, n := range []int{7, 300, 513} {
+		for c, n := range []int{7, chunkOps + 1, chunksPerCore*chunkOps + 1} {
 			ops := make([]trace.Op, n)
 			for i := range ops {
 				ops[i] = trace.Op{Gap: int64((i*37 + c*11) % 90), Line: uint64(i*4099+c*65537) % (1 << 22)}

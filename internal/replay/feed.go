@@ -13,9 +13,11 @@ import (
 // current one; the producer refills the ones Run hands back, in the order
 // it hands them back, so every generator is called in the same order as an
 // inline loop would call it, and only ever from one goroutine at a time.
+// The producer is the slower half, and a ring this deep keeps it from
+// waiting on Run to hand chunks back.
 const (
-	chunkOps      = 256
-	chunksPerCore = 2
+	chunkOps      = 512
+	chunksPerCore = 4
 )
 
 // feedOp is one generated op, resolved to what Run needs: its merge key

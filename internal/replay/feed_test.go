@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -61,31 +62,56 @@ func waitGoroutines(t *testing.T, want int) {
 }
 
 // TestGeneratorPanicReachesRun checks that a panic on the producer
-// goroutine re-panics on Run's goroutine with its original value, that no
-// goroutine survives it, and that the Runner stays dead afterwards.
+// goroutine re-panics on Run's goroutine with its original value, only
+// after Run has issued every op of the failing core's chunks filled before
+// the failure, that no goroutine survives it, and that the Runner stays
+// dead afterwards. A failAt inside the third chunk fails while the
+// producer draws ahead for the first Run, before Run hands any chunk back.
 func TestGeneratorPanicReachesRun(t *testing.T) {
-	for _, procs := range []int{1, 2} {
-		func() {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			before := runtime.NumGoroutine()
-			gs := gens(t, "mcf", 4)
-			pg := &panicGen{Generator: gs[2], failAt: 5 * chunkOps}
-			gs[2] = pg
-			r, err := NewRunner(Config{IPS: 4e9}, gs, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v := runPanics(r, dram.Millisecond)
-			b, ok := v.(*boom)
-			if !ok || b.at != pg.failAt {
-				t.Fatalf("procs=%d: Run panicked with %#v, want the generator's *boom", procs, v)
-			}
-			waitGoroutines(t, before)
-			if again := runPanics(r, 2*dram.Millisecond); again != v {
-				t.Errorf("procs=%d: a second Run panicked with %#v, want the same value", procs, again)
-			}
-			waitGoroutines(t, before)
-		}()
+	cases := []struct {
+		cores, failAt int
+	}{
+		{4, 5 * chunkOps},
+		{4, 2*chunkOps + 7},
+		{1, 5 * chunkOps},
+		{1, 2*chunkOps + 7},
+	}
+	for _, tc := range cases {
+		for _, procs := range []int{1, 2} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				name := fmt.Sprintf("cores=%d failAt=%d procs=%d", tc.cores, tc.failAt, procs)
+				before := runtime.NumGoroutine()
+				gs := gens(t, "mcf", tc.cores)
+				fail := tc.cores / 2
+				pg := &panicGen{Generator: gs[fail], failAt: tc.failAt}
+				gs[fail] = pg
+				r, err := NewRunner(Config{IPS: float64(tc.cores) * 1e9}, gs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v := runPanics(r, 10*dram.Millisecond)
+				b, ok := v.(*boom)
+				if !ok || b.at != pg.failAt {
+					t.Fatalf("%s: Run panicked with %#v, want the generator's *boom", name, v)
+				}
+				// The failing core issued every op of its whole chunks;
+				// with one core, nothing else.
+				var issued int64
+				for _, s := range r.Stats() {
+					issued += s.Accesses
+				}
+				drawn := int64((tc.failAt - 1) / chunkOps * chunkOps)
+				if issued < drawn || tc.cores == 1 && issued != drawn {
+					t.Errorf("%s: Run issued %d ops before re-panicking, want all %d drawn before the failure", name, issued, drawn)
+				}
+				waitGoroutines(t, before)
+				if again := runPanics(r, 20*dram.Millisecond); again != v {
+					t.Errorf("%s: a second Run panicked with %#v, want the same value", name, again)
+				}
+				waitGoroutines(t, before)
+			}()
+		}
 	}
 }
 

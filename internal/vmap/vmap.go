@@ -34,19 +34,22 @@ const PageBytes = 4096
 // long-running system's occupancy.
 const SuperBytes = 512 << 20
 
-// Key layout: lookups are keyed asid<<asidShift | vsuper, so an address
-// space may span at most 1<<asidShift superblocks (512 TB of virtual
-// footprint) and at most MaxASID+1 address spaces are representable.
-// Both limits are validated — see CheckASID and Translate — because a
-// silent wrap of either field would alias two different address spaces
-// onto one mapping, which for a RowHammer study silently merges tenants.
+// Key layout: lookups are keyed asid<<asidShift | vsuper. A uint64 vaddr
+// has at most 2^64/SuperBytes = 2^35 virtual superblocks, so every vsuper
+// fits the low asidShift bits (the constant below fails to compile if it
+// ever could not). The asid field above it holds at most MaxASID+1 address
+// spaces, and that limit is validated (see CheckASID and Translate),
+// because a silent wrap would alias two different address spaces onto one
+// mapping, which for a RowHammer study silently merges tenants.
 const (
 	asidShift = 40
-	vsuperMax = uint64(1)<<asidShift - 1
 
 	// MaxASID is the largest valid address-space identifier.
 	MaxASID = int(uint64(1)<<(64-asidShift) - 1)
 )
+
+// Every vsuper of a uint64 vaddr fits below asidShift.
+const _ uint64 = 1<<asidShift - (1<<64)/SuperBytes
 
 // lastSlots is the number of last-translation slots in front of the block
 // map, a power of two: an asid uses slot asid mod lastSlots.
@@ -116,7 +119,7 @@ func gcd(a, b uint64) uint64 {
 
 // Translate returns the physical address for vaddr in address space asid,
 // allocating a superblock on first touch. Offsets within the superblock
-// are preserved. Out-of-range inputs panic with the TranslateChecked
+// are preserved. An out-of-range asid panics with the TranslateChecked
 // error; validate ASIDs with CheckASID before entering the access path.
 func (m *Mapper) Translate(asid int, vaddr uint64) uint64 {
 	phys, err := m.TranslateChecked(asid, vaddr)
@@ -126,19 +129,15 @@ func (m *Mapper) Translate(asid int, vaddr uint64) uint64 {
 	return phys
 }
 
-// TranslateChecked is Translate with the key-packing bounds enforced as a
+// TranslateChecked is Translate with the key's asid bound enforced as a
 // descriptive error instead of a silent collision: an asid wider than the
-// key's asid field or a virtual footprint past the vsuper field would
-// alias a different address space's mappings.
+// key's asid field would alias a different address space's mappings. Any
+// vaddr fits the key's vsuper field.
 func (m *Mapper) TranslateChecked(asid int, vaddr uint64) (uint64, error) {
 	if err := CheckASID(asid); err != nil {
 		return 0, err
 	}
-	vsuper := vaddr / SuperBytes
-	if vsuper > vsuperMax {
-		return 0, fmt.Errorf("vmap: asid %d vaddr %#x exceeds the %d-bit virtual superblock field (max superblock index %d)", asid, vaddr, asidShift, vsuperMax)
-	}
-	key := uint64(asid)<<asidShift | vsuper
+	key := uint64(asid)<<asidShift | vaddr/SuperBytes
 	slot := &m.last[asid&(lastSlots-1)]
 	if slot.valid && slot.key == key {
 		return slot.block*SuperBytes + vaddr%SuperBytes, nil
