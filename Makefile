@@ -84,7 +84,9 @@ audit:
 # registry runs the full generic battery under the race detector — the
 # attack-pattern security sweep against each policy's analytic bound,
 # fault-injection robustness (no panics, deterministic replay), stats/
-# telemetry counter sanity, and a short audited full-system run (see
+# telemetry counter sanity, parameter robustness (boundary overrides of
+# every schema key build or fail, never panic), and a short audited
+# full-system run (see
 # internal/track/conformance, DESIGN.md section 14). A violation prints
 # as "policy [check]: detail" and fails the run.
 conformance:

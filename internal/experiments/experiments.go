@@ -281,7 +281,6 @@ type Runner struct {
 	// it twice (single-flight).
 	mu           sync.Mutex
 	baselines    map[string]*flight[*Baseline]
-	mlp          map[string]int // calibrated per-workload MSHR budget
 	calibrations map[string]int // times each workload's baseline was computed
 	actsPerSA    map[string]*flight[actsStats]
 
@@ -330,7 +329,6 @@ func NewRunner(opts Options) *Runner {
 		opts:         opts,
 		baselines:    make(map[string]*flight[*Baseline]),
 		actsPerSA:    make(map[string]*flight[actsStats]),
-		mlp:          make(map[string]int),
 		calibrations: make(map[string]int),
 		faultLog:     fault.NewLog(),
 		pool: jobs.NewPool(jobs.Options{
@@ -379,14 +377,6 @@ func (r *Runner) JobStats() (n int, busy time.Duration) {
 // PoolStats exposes the full job-engine accounting (for live endpoints).
 func (r *Runner) PoolStats() jobs.PoolStats { return r.pool.Stats() }
 
-// mlpFor returns the calibrated MSHR budget for a workload, if recorded.
-func (r *Runner) mlpFor(name string) (int, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.mlp[name]
-	return m, ok
-}
-
 // Exec is the execution context of one job: the shared Runner plus
 // job-isolated state (the fault log). Simulations always run through an
 // Exec so that parallel jobs never share a mutable log or RNG, which is
@@ -417,12 +407,6 @@ func (x *Exec) context() context.Context {
 	return x.ctx
 }
 
-// Baseline resolves the (cached) unprotected reference for name via the
-// shared single-flight layer.
-func (x *Exec) Baseline(name string) (*Baseline, error) {
-	return x.r.Baseline(name)
-}
-
 // wrapMit interposes the configured fault plan on one mitigator instance;
 // with an empty plan it returns m unchanged.
 func (x *Exec) wrapMit(m track.Mitigator, stream uint64) track.Mitigator {
@@ -439,6 +423,7 @@ type Baseline struct {
 	BusUtil float64 // percent
 	Stats   mem.Stats
 	Window  dram.Time
+	MLP     int // calibrated MSHR budget every timing run of the workload uses
 }
 
 // Baseline runs (or returns the cached) unprotected reference for name.
@@ -482,6 +467,7 @@ func (r *Runner) computeBaseline(name string) (*Baseline, error) {
 		BusUtil: sys.BusUtilization(),
 		Stats:   sys.MemStats(),
 		Window:  sys.Window(),
+		MLP:     mlp,
 	}
 	var instr float64
 	for _, ipc := range b.IPCs {
@@ -503,9 +489,6 @@ func (r *Runner) computeBaseline(name string) (*Baseline, error) {
 // It runs inside the baseline single-flight, so each workload calibrates
 // exactly once per Runner.
 func (r *Runner) calibrateMLP(spec trace.WorkloadSpec) (int, error) {
-	if m, ok := r.mlpFor(spec.Name); ok {
-		return m, nil
-	}
 	target := spec.ImpliedIPS()
 	// Calibration runs its own windows (a quarter of CalibrationWindow
 	// warms up) and leaves telemetry to the measured runs.
@@ -558,9 +541,6 @@ func (r *Runner) calibrateMLP(spec trace.WorkloadSpec) (int, error) {
 		best, bestIPS = next, ips
 	}
 	r.opts.Logf("calibrated %s: MLP=%d (IPS %.2fG vs target %.2fG)", spec.Name, best, bestIPS/1e9, target/1e9)
-	r.mu.Lock()
-	r.mlp[spec.Name] = best
-	r.mu.Unlock()
 	return best, nil
 }
 
@@ -571,26 +551,17 @@ func abs64(v float64) float64 {
 	return v
 }
 
-// runTiming executes a protected timing simulation for workload name: its
+// runTiming executes a protected timing simulation of base's workload: its
 // rate-mode copies at the calibrated MSHR budget.
-func (x *Exec) runTiming(name string, timing dram.Timing, bat int,
+func (x *Exec) runTiming(base *Baseline, timing dram.Timing, bat int,
 	factory func(sub int, sink track.Sink) track.Mitigator) (*timingResult, error) {
-	r := x.r
-	spec, err := trace.Lookup(name)
+	gens, err := trace.PerCore(base.Spec, x.r.opts.Cores, x.r.opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	gens, err := trace.PerCore(spec, r.opts.Cores, r.opts.Seed)
+	res, err := x.simulate(Machine{Gens: gens, MSHR: base.MLP, Timing: timing, RFMBAT: bat, NewMitigator: factory}, "timing")
 	if err != nil {
-		return nil, err
-	}
-	mlp, ok := r.mlpFor(spec.Name)
-	if !ok {
-		mlp = spec.MLPLimit()
-	}
-	res, err := x.simulate(Machine{Gens: gens, MSHR: mlp, Timing: timing, RFMBAT: bat, NewMitigator: factory}, "timing")
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return nil, fmt.Errorf("%s: %w", base.Spec.Name, err)
 	}
 	return res, nil
 }

@@ -68,7 +68,7 @@ func TestBaselineCachingAndCalibration(t *testing.T) {
 	if b1 != b2 {
 		t.Error("baseline should be cached (same pointer)")
 	}
-	if _, ok := r.mlp["xz"]; !ok {
+	if b1.MLP == 0 {
 		t.Error("calibration should have recorded an MLP")
 	}
 	if _, err := r.Baseline("nosuchworkload"); err == nil {

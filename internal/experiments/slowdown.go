@@ -27,7 +27,7 @@ func (x *Exec) buildPolicy(policy string, trhd int, overrides map[string]string)
 // target TRHD, resolving construction, timing and RFM cadence through the
 // mitigation registry.
 func (x *Exec) runPolicy(name, policy string, trhd int) (slowdown float64, res *timingResult, err error) {
-	base, err := x.Baseline(name)
+	base, err := x.r.Baseline(name)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -35,7 +35,7 @@ func (x *Exec) runPolicy(name, policy string, trhd int) (slowdown float64, res *
 	if err != nil {
 		return 0, nil, err
 	}
-	res, err = x.runTiming(name, b.Timing(), b.RFMBAT(), b.Factory())
+	res, err = x.runTiming(base, b.Timing(), b.RFMBAT(), b.Factory())
 	if err != nil {
 		return 0, nil, err
 	}
@@ -61,13 +61,13 @@ func (x *Exec) runPRAC(name string, trhd int) (slowdown float64, err error) {
 // runMIRZA measures the MIRZA slowdown for one workload, starting the
 // timing run from a set warmed by warmMirza.
 func (x *Exec) runMIRZA(name string, warmed []*core.Mirza) (float64, error) {
-	base, err := x.Baseline(name)
+	base, err := x.r.Baseline(name)
 	if err != nil {
 		return 0, err
 	}
 	// The channel counts mitigations through its own sink, which the
 	// warmed instances do not have; they count via their stats instead.
-	res, err := x.runTiming(name, dram.DDR5(), 0, func(sub int, sink track.Sink) track.Mitigator { return warmed[sub] })
+	res, err := x.runTiming(base, dram.DDR5(), 0, func(sub int, sink track.Sink) track.Mitigator { return warmed[sub] })
 	if err != nil {
 		return 0, err
 	}
@@ -219,7 +219,7 @@ func (r *Runner) Table5() (*Table, error) {
 					id: fmt.Sprintf("table5/w=%d/q=%d/%s", w, q, spec.Name),
 					run: func(x *Exec) (float64, error) {
 						x.r.opts.Logf("table5 %s W=%d Q=%d", spec.Name, w, q)
-						base, err := x.Baseline(spec.Name)
+						base, err := x.r.Baseline(spec.Name)
 						if err != nil {
 							return 0, err
 						}
@@ -242,7 +242,7 @@ func (r *Runner) Table5() (*Table, error) {
 							c.Seed += uint64(sub) * 131
 							return core.MustNew(c, sink)
 						}
-						res, err := x.runTiming(spec.Name, dram.DDR5(), 0, factory)
+						res, err := x.runTiming(base, dram.DDR5(), 0, factory)
 						if err != nil {
 							return 0, err
 						}

@@ -29,7 +29,7 @@ func (r *Runner) Table4() (*Table, error) {
 		acts actsStats
 	}
 	cells, err := runJobs(r, workloadJobs("table4", specs, func(x *Exec, name string) (cell, error) {
-		base, err := x.Baseline(name)
+		base, err := x.r.Baseline(name)
 		if err != nil {
 			return cell{}, err
 		}

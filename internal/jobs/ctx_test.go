@@ -89,7 +89,7 @@ func TestPerJobDeadlineStillErrTimeout(t *testing.T) {
 		<-block
 		return 0, nil
 	}}}
-	results := Run(Options{Parallelism: 1, Timeout: 20 * time.Millisecond}, js)
+	results := RunCtx(context.Background(), Options{Parallelism: 1, Timeout: 20 * time.Millisecond}, js)
 	if !errors.Is(results[0].Err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", results[0].Err)
 	}
@@ -109,7 +109,7 @@ func TestCooperativeDeadlineMapsToErrTimeout(t *testing.T) {
 		<-ctx.Done()
 		return 0, ctx.Err()
 	}}}
-	results := Run(Options{Parallelism: 1, Timeout: 10 * time.Millisecond}, js)
+	results := RunCtx(context.Background(), Options{Parallelism: 1, Timeout: 10 * time.Millisecond}, js)
 	if !errors.Is(results[0].Err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", results[0].Err)
 	}

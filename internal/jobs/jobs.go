@@ -102,10 +102,10 @@ type Options struct {
 }
 
 // PoolStats is a snapshot of a pool's accounting, valid across concurrent
-// RunOn batches. Busy sums the wall-clock execution time of every job that
+// RunOnCtx batches. Busy sums the wall-clock execution time of every job that
 // ran — an estimate of what a one-worker run would need.
 type PoolStats struct {
-	Submitted int64 // jobs handed to RunOn
+	Submitted int64 // jobs handed to RunOnCtx
 	Completed int64 // jobs that ran and returned without error
 	Failed    int64 // jobs that ran and errored (incl. panics and timeouts)
 	Skipped   int64 // jobs never started because an earlier index failed
@@ -121,7 +121,7 @@ type PoolStats struct {
 func (s PoolStats) Ran() int64 { return s.Completed + s.Failed }
 
 // Pool executes job batches and accounts for them. One Pool may serve many
-// RunOn calls (sequentially or concurrently); its counters accumulate over
+// RunOnCtx calls (sequentially or concurrently); its counters accumulate over
 // its whole lifetime, which is what makes Stats the single source of truth
 // for "jobs run / busy time / speedup" reporting.
 type Pool struct {
@@ -169,28 +169,18 @@ func (p *Pool) Stats() PoolStats {
 	}
 }
 
-// Run executes jobs on a fresh single-batch pool and returns one Result
-// per job in submission order. It never panics and always returns
-// len(jobs) results.
-func Run[T any](opts Options, jobs []Job[T]) []Result[T] {
-	return RunOn(NewPool(opts), jobs)
-}
-
-// RunCtx is Run under a batch context: see RunOnCtx.
+// RunCtx executes jobs on a fresh single-batch pool under ctx: see
+// RunOnCtx.
 func RunCtx[T any](ctx context.Context, opts Options, jobs []Job[T]) []Result[T] {
 	return RunOnCtx(ctx, NewPool(opts), jobs)
 }
 
-// RunOn executes a batch of jobs on pool p with the same ordering and
-// fail-fast guarantees as Run, folding the batch into p's accounting.
-func RunOn[T any](p *Pool, jobs []Job[T]) []Result[T] {
-	return RunOnCtx(context.Background(), p, jobs)
-}
-
-// RunOnCtx is RunOn under a batch context. When ctx is canceled (or its
-// deadline passes), running jobs see it through their Run context and
-// not-yet-started jobs are returned as Canceled without running; RunOnCtx
-// still returns len(jobs) results and still gathers in submission order.
+// RunOnCtx executes a batch of jobs on pool p, folding the batch into p's
+// accounting, and returns one Result per job in submission order. It never
+// panics and always returns len(jobs) results. When ctx is canceled (or
+// its deadline passes), running jobs see it through their Run context and
+// not-yet-started jobs are returned as Canceled without running; the
+// results still gather in submission order.
 func RunOnCtx[T any](ctx context.Context, p *Pool, jobs []Job[T]) []Result[T] {
 	n := len(jobs)
 	results := make([]Result[T], n)
@@ -369,14 +359,4 @@ func Values[T any](results []Result[T]) []T {
 		out[i] = results[i].Value
 	}
 	return out
-}
-
-// TotalBusy sums the per-job execution durations: an estimate of the
-// wall-clock a one-worker run would need, used to report speedup.
-func TotalBusy[T any](results []Result[T]) time.Duration {
-	var d time.Duration
-	for i := range results {
-		d += results[i].Duration
-	}
-	return d
 }

@@ -23,7 +23,7 @@ func ids(n int) []Job[int] {
 
 func TestOrderedResultsAtAnyParallelism(t *testing.T) {
 	for _, p := range []int{1, 2, 8, 0} {
-		res := Run(Options{Parallelism: p}, ids(37))
+		res := RunCtx(context.Background(), Options{Parallelism: p}, ids(37))
 		if err := FirstError(res); err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -36,10 +36,10 @@ func TestOrderedResultsAtAnyParallelism(t *testing.T) {
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	if res := Run(Options{}, []Job[string]{}); len(res) != 0 {
+	if res := RunCtx(context.Background(), Options{}, []Job[string]{}); len(res) != 0 {
 		t.Fatalf("empty job list: %v", res)
 	}
-	res := Run(Options{Parallelism: 4}, []Job[string]{{ID: "one", Run: func(context.Context) (string, error) { return "ok", nil }}})
+	res := RunCtx(context.Background(), Options{Parallelism: 4}, []Job[string]{{ID: "one", Run: func(context.Context) (string, error) { return "ok", nil }}})
 	if res[0].Value != "ok" || res[0].Err != nil || res[0].Duration < 0 {
 		t.Fatalf("single job: %+v", res[0])
 	}
@@ -58,7 +58,7 @@ func TestFailureSkipsLaterJobsSequentially(t *testing.T) {
 			return i, nil
 		}}
 	}
-	res := Run(Options{Parallelism: 1}, js)
+	res := RunCtx(context.Background(), Options{Parallelism: 1}, js)
 	if int(ran) != 4 {
 		t.Errorf("sequential fail-fast ran %d jobs, want 4", ran)
 	}
@@ -87,7 +87,7 @@ func TestLowestFailingIndexDeterministicInParallel(t *testing.T) {
 		}}
 	}
 	for trial := 0; trial < 20; trial++ {
-		res := Run(Options{Parallelism: 6}, js)
+		res := RunCtx(context.Background(), Options{Parallelism: 6}, js)
 		err := FirstError(res)
 		if err == nil || !strings.Contains(err.Error(), "fail-2") {
 			t.Fatalf("trial %d: first error = %v, want fail-2", trial, err)
@@ -100,7 +100,7 @@ func TestPanicRecovery(t *testing.T) {
 		{ID: "ok", Run: func(context.Context) (int, error) { return 1, nil }},
 		{ID: "boom", Run: func(context.Context) (int, error) { panic("deliberate") }},
 	}
-	res := Run(Options{Parallelism: 2}, js)
+	res := RunCtx(context.Background(), Options{Parallelism: 2}, js)
 	if res[0].Err != nil || res[0].Value != 1 {
 		t.Fatalf("healthy job affected: %+v", res[0])
 	}
@@ -118,7 +118,7 @@ func TestPerJobTimeout(t *testing.T) {
 		{ID: "stuck", Run: func(context.Context) (int, error) { time.Sleep(2 * time.Second); return 0, nil }},
 	}
 	start := time.Now()
-	res := Run(Options{Parallelism: 1, Timeout: 50 * time.Millisecond}, js)
+	res := RunCtx(context.Background(), Options{Parallelism: 1, Timeout: 50 * time.Millisecond}, js)
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("timeout did not abandon the stuck job (took %v)", elapsed)
 	}
@@ -142,8 +142,8 @@ func TestPoolStatsAccumulateAcrossBatches(t *testing.T) {
 			return i, nil
 		}}
 	}
-	RunOn(p, js)
-	RunOn(p, ids(4))
+	RunOnCtx(context.Background(), p, js)
+	RunOnCtx(context.Background(), p, ids(4))
 	s := p.Stats()
 	if s.Submitted != 10 {
 		t.Errorf("Submitted = %d, want 10", s.Submitted)
@@ -179,7 +179,7 @@ func TestPoolTelemetryMirrors(t *testing.T) {
 			return i, nil
 		}}
 	}
-	RunOn(p, js)
+	RunOnCtx(context.Background(), p, js)
 	snap := reg.Snapshot()
 	s := p.Stats()
 	if got := snap.CounterTotal("jobs_submitted_total"); got != s.Submitted {
@@ -212,27 +212,19 @@ func TestPoolTelemetryMirrors(t *testing.T) {
 }
 
 func TestRunMatchesRunOnSemantics(t *testing.T) {
-	// Run is sugar over a fresh pool; telemetry-free pools must not
-	// allocate registry state.
-	res := Run(Options{Parallelism: 2}, ids(5))
-	if err := FirstError(res); err != nil {
+	// RunCtx is sugar over a fresh pool: the same jobs give the same
+	// results through RunOnCtx on a pool of one's own.
+	a := RunCtx(context.Background(), Options{Parallelism: 2}, ids(5))
+	b := RunOnCtx(context.Background(), NewPool(Options{Parallelism: 2}), ids(5))
+	if err := FirstError(a); err != nil {
 		t.Fatal(err)
 	}
-	if got := TotalBusy(res); got < 0 {
-		t.Errorf("TotalBusy = %v", got)
+	if len(a) != len(b) {
+		t.Fatalf("RunCtx gave %d results, RunOnCtx %d", len(a), len(b))
 	}
-}
-
-func TestTotalBusy(t *testing.T) {
-	js := make([]Job[int], 4)
-	for i := range js {
-		js[i] = Job[int]{ID: "sleep", Run: func(context.Context) (int, error) {
-			time.Sleep(10 * time.Millisecond)
-			return 0, nil
-		}}
-	}
-	res := Run(Options{Parallelism: 4}, js)
-	if busy := TotalBusy(res); busy < 40*time.Millisecond {
-		t.Errorf("TotalBusy = %v, want >= 40ms", busy)
+	for i := range a {
+		if a[i].ID != b[i].ID || a[i].Value != b[i].Value || a[i].Err != b[i].Err {
+			t.Errorf("result %d: RunCtx %+v, RunOnCtx %+v", i, a[i], b[i])
+		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"time"
 
-	"mirza/internal/dram"
+	"mirza/internal/cliflags"
 	"mirza/internal/experiments"
 	"mirza/internal/fault"
 	"mirza/internal/telemetry"
@@ -67,11 +67,18 @@ func (b *ExperimentsBackend) Prepare(req *Request) (*Prepared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("faults: %w", err)
 	}
-	if req.MeasureMS < 0 || req.WarmupMS < 0 {
-		return nil, fmt.Errorf("measure_ms/warmup_ms must be >= 0")
+	// The window rules are mirza-bench's, so a request the CLI refuses is
+	// refused here too instead of keying an overflowed or rounded window.
+	measure, err := cliflags.WindowMS("measure_ms", req.MeasureMS, true)
+	if err != nil {
+		return nil, err
 	}
-	if req.ReplayWindows != 0 && req.ReplayWindows < 2 {
-		return nil, fmt.Errorf("replay_windows must be 0 (default) or >= 2, got %d", req.ReplayWindows)
+	warmup, err := cliflags.WindowMS("warmup_ms", req.WarmupMS, true)
+	if err != nil {
+		return nil, err
+	}
+	if err := cliflags.ReplayWindows("replay_windows", req.ReplayWindows); err != nil {
+		return nil, err
 	}
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("timeout_ms must be >= 0")
@@ -84,13 +91,13 @@ func (b *ExperimentsBackend) Prepare(req *Request) (*Prepared, error) {
 	if req.Quick {
 		opts = opts.Quick()
 	}
-	if req.MeasureMS > 0 {
-		opts.Measure = dram.Time(req.MeasureMS * float64(dram.Millisecond))
+	if measure > 0 {
+		opts.Measure = measure
 	}
-	if req.WarmupMS > 0 {
-		opts.Warmup = dram.Time(req.WarmupMS * float64(dram.Millisecond))
+	if warmup > 0 {
+		opts.Warmup = warmup
 	}
-	if req.ReplayWindows >= 2 {
+	if req.ReplayWindows != 0 {
 		opts.ReplayWindows = req.ReplayWindows
 	}
 	if len(req.Workloads) > 0 {

@@ -22,8 +22,10 @@ func TestExperimentsBackendPrepareValidation(t *testing.T) {
 		{"missing experiment", Request{}, "required"},
 		{"unknown experiment", Request{Experiment: "figNaN"}, "unknown id"},
 		{"bad fault plan", Request{Experiment: "fig3", Faults: "zzzz"}, "faults"},
-		{"negative measure", Request{Experiment: "fig3", MeasureMS: -1}, ">= 0"},
-		{"negative warmup", Request{Experiment: "fig3", WarmupMS: -0.5}, ">= 0"},
+		{"negative measure", Request{Experiment: "fig3", MeasureMS: -1}, "non-negative"},
+		{"negative warmup", Request{Experiment: "fig3", WarmupMS: -0.5}, "non-negative"},
+		{"overflowing measure", Request{Experiment: "fig3", MeasureMS: 1e300}, "measure_ms"},
+		{"sub-picosecond measure", Request{Experiment: "fig3", MeasureMS: 1e-13}, "shorter than a picosecond"},
 		{"one replay window", Request{Experiment: "fig3", ReplayWindows: 1}, "replay_windows"},
 		{"negative timeout", Request{Experiment: "fig3", TimeoutMS: -3}, "timeout_ms"},
 		{"unknown workload", Request{Experiment: "fig3", Workloads: []string{"quake"}}, "quake"},

@@ -1,8 +1,10 @@
 // Package conformance runs every registered mitigation policy through a
 // common battery of behavioural checks: the bank-level attack-pattern
 // security sweep, fault-injection robustness (no panics, deterministic
-// replay), telemetry-counter sanity against a counting sink, and a short
-// audited full-system run under the DDR5 protocol auditor.
+// replay), telemetry-counter sanity against a counting sink, parameter
+// robustness (boundary overrides of every schema key build or fail with an
+// error, never panic), and a short audited full-system run under the DDR5
+// protocol auditor.
 //
 // The harness is what makes the registry's one-file-defense promise safe:
 // a new policy registered in internal/track/policies is automatically
@@ -54,7 +56,7 @@ func (o Options) normalized() Options {
 // Violation records one conformance failure.
 type Violation struct {
 	Policy string // registered policy name
-	Check  string // "build" | "security" | "faults" | "stats" | "audit"
+	Check  string // "build" | "security" | "faults" | "stats" | "params" | "audit"
 	Detail string
 }
 
@@ -105,6 +107,7 @@ func Check(policy string, opt Options) []Violation {
 	out = append(out, checkSecurity(b, opt)...)
 	out = append(out, checkFaults(b, opt)...)
 	out = append(out, checkStats(b, opt)...)
+	out = append(out, checkParams(b, env)...)
 	if !opt.SkipAudit {
 		out = append(out, checkAudit(b, opt)...)
 	}
@@ -289,6 +292,36 @@ func checkStats(b *track.Built, opt Options) (out []Violation) {
 			})
 		}
 	})
+	return out
+}
+
+// checkParams overrides each schema key of the policy in turn with
+// boundary values of its kind — "0", "-1" and "1" for numbers, an unknown
+// word for strings — and requires Build to return a policy or an error,
+// never to panic: no outside input may reach a parameter getter's panic.
+func checkParams(b *track.Built, env track.Config) (out []Violation) {
+	d, err := track.Lookup(b.Name())
+	if err != nil {
+		return []Violation{{Policy: b.Name(), Check: "params", Detail: err.Error()}}
+	}
+	for _, spec := range d.ConfigSchema {
+		vals := []string{"0", "-1", "1"}
+		if spec.Kind == track.StringParam {
+			vals = []string{"bogus"}
+		}
+		for _, v := range vals {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						out = append(out, Violation{Policy: b.Name(), Check: "params",
+							Detail: fmt.Sprintf("Build with %s=%s panicked: %v", spec.Key, v, r)})
+					}
+				}()
+				// A Built and an error are both acceptable outcomes.
+				_, _ = track.Build(b.Name(), map[string]string{spec.Key: v}, env)
+			}()
+		}
+	}
 	return out
 }
 

@@ -20,7 +20,8 @@ func options(t *testing.T) Options {
 
 // TestRegisteredPoliciesConform is the gate new defenses must pass: every
 // name in the registry goes through the security sweep, fault-injection
-// replay, stats sanity, and (full mode) the audited system run.
+// replay, stats sanity, boundary parameter overrides, and (full mode) the
+// audited system run.
 func TestRegisteredPoliciesConform(t *testing.T) {
 	opt := options(t)
 	names := track.Names()

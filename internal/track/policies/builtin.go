@@ -27,11 +27,11 @@ func init() {
 		Name:     "none",
 		Doc:      "no mitigation (unprotected baseline)",
 		Insecure: true,
-		New: func(cfg track.Config, sink track.Sink) (track.Mitigator, error) {
-			return track.NewNop(), nil
-		},
-		Bound: func(cfg track.Config) (track.Bound, error) {
-			return track.Bound{TRHD: cfg.TRHD, Kind: "nominal TRHD (unprotected)"}, nil
+		Resolve: func(cfg track.Config) (track.Policy, error) {
+			return track.Policy{
+				New:   func(int, track.Sink) (track.Mitigator, error) { return track.NewNop(), nil },
+				Bound: track.Bound{TRHD: cfg.TRHD, Kind: "nominal TRHD (unprotected)"},
+			}, nil
 		},
 	})
 
@@ -44,36 +44,32 @@ func init() {
 		DefaultConfig: func(cfg track.Config) (track.Params, error) {
 			return track.Params{"ath": itoa(track.ATHForTRHD(cfg.TRHD))}, nil
 		},
-		New: func(cfg track.Config, sink track.Sink) (track.Mitigator, error) {
-			ath, err := cfg.Params.Int("ath")
-			if err != nil {
-				return nil, err
-			}
+		Resolve: func(cfg track.Config) (track.Policy, error) {
+			ath := cfg.Params.Int("ath")
 			if ath < 1 || ath > track.MaxRowCount {
-				return nil, fmt.Errorf("ath must be in [1, %d] (16-bit counters), got %d", track.MaxRowCount, ath)
+				return track.Policy{}, fmt.Errorf("ath must be in [1, %d] (16-bit counters), got %d", track.MaxRowCount, ath)
 			}
-			return track.NewPRAC(track.PRACConfig{
-				Geometry:       cfg.Geometry,
-				Mapping:        cfg.Mapping,
-				AlertThreshold: ath,
-			}, sink), nil
-		},
-		// PRAC-enabled parts pay the longer tRC of the counter update.
-		Timing: func(cfg track.Config) dram.Timing { return dram.PRAC() },
-		Bound: func(cfg track.Config) (track.Bound, error) {
-			ath, err := cfg.Params.Int("ath")
-			if err != nil {
-				return track.Bound{}, err
+			bound := track.Bound{TRHD: cfg.TRHD, Kind: "provisioned TRHD (deterministic ATH+ABO)"}
+			if ath > track.ATHForTRHD(cfg.TRHD) {
+				// A raised ATH tolerates only the TRHD it provisions: each
+				// aggressor of a double-sided pair reaches ATH plus the ABO
+				// slack before it is mitigated.
+				bound = track.Bound{
+					TRHD: 2 * (ath + track.ABOSlack),
+					Kind: fmt.Sprintf("2*(ATH+%d) at ATH=%d (deterministic ATH+ABO)", track.ABOSlack, ath),
+				}
 			}
-			if ath <= track.ATHForTRHD(cfg.TRHD) {
-				return track.Bound{TRHD: cfg.TRHD, Kind: "provisioned TRHD (deterministic ATH+ABO)"}, nil
-			}
-			// A raised ATH tolerates only the TRHD it provisions: each
-			// aggressor of a double-sided pair reaches ATH plus the ABO
-			// slack before it is mitigated.
-			return track.Bound{
-				TRHD: 2 * (ath + track.ABOSlack),
-				Kind: fmt.Sprintf("2*(ATH+%d) at ATH=%d (deterministic ATH+ABO)", track.ABOSlack, ath),
+			return track.Policy{
+				New: func(sub int, sink track.Sink) (track.Mitigator, error) {
+					return track.NewPRAC(track.PRACConfig{
+						Geometry:       cfg.Geometry,
+						Mapping:        cfg.Mapping,
+						AlertThreshold: ath,
+					}, sink), nil
+				},
+				// PRAC-enabled parts pay the longer tRC of the counter update.
+				Timing: dram.PRAC(),
+				Bound:  bound,
 			}, nil
 		},
 	})
@@ -88,33 +84,23 @@ func init() {
 			w := security.DefaultMINTModel().WindowForTRHD(cfg.TRHD)
 			return track.Params{"window": itoa(w)}, nil
 		},
-		New: func(cfg track.Config, sink track.Sink) (track.Mitigator, error) {
-			w, err := cfg.Params.Int("window")
-			if err != nil {
-				return nil, err
-			}
+		Resolve: func(cfg track.Config) (track.Policy, error) {
+			w := cfg.Params.Int("window")
 			if w < 1 {
-				return nil, fmt.Errorf("window must be >= 1, got %d", w)
+				return track.Policy{}, fmt.Errorf("window must be >= 1, got %d", w)
 			}
-			return track.NewMINT(track.MINTConfig{
-				Geometry:      cfg.Geometry,
-				Mapping:       cfg.Mapping,
-				Window:        w,
-				MitigateOnRFM: true,
-				Seed:          cfg.Seed + uint64(cfg.Sub)*31,
-			}, sink), nil
-		},
-		RFMBAT: func(cfg track.Config) (int, error) {
-			return cfg.Params.Int("window")
-		},
-		Bound: func(cfg track.Config) (track.Bound, error) {
-			w, err := cfg.Params.Int("window")
-			if err != nil {
-				return track.Bound{}, err
-			}
-			return track.Bound{
-				TRHD: security.DefaultMINTModel().ToleratedTRHD(w),
-				Kind: fmt.Sprintf("MINT analytic tolerated TRHD at W=%d", w),
+			return track.Policy{
+				New: func(sub int, sink track.Sink) (track.Mitigator, error) {
+					return track.NewMINT(track.MINTConfig{
+						Geometry:      cfg.Geometry,
+						Mapping:       cfg.Mapping,
+						Window:        w,
+						MitigateOnRFM: true,
+						Seed:          cfg.Seed + uint64(sub)*31,
+					}, sink), nil
+				},
+				RFMBAT: w,
+				Bound:  mintBound(w, ""),
 			}, nil
 		},
 	})
@@ -132,34 +118,22 @@ func init() {
 				"every":  "1",
 			}, nil
 		},
-		New: func(cfg track.Config, sink track.Sink) (track.Mitigator, error) {
-			w, err := cfg.Params.Int("window")
-			if err != nil {
-				return nil, err
-			}
-			every, err := cfg.Params.Int("every")
-			if err != nil {
-				return nil, err
-			}
+		Resolve: func(cfg track.Config) (track.Policy, error) {
+			w, every := cfg.Params.Int("window"), cfg.Params.Int("every")
 			if w < 1 || every < 1 {
-				return nil, fmt.Errorf("window and every must be >= 1, got window=%d every=%d", w, every)
+				return track.Policy{}, fmt.Errorf("window and every must be >= 1, got window=%d every=%d", w, every)
 			}
-			return track.NewMINT(track.MINTConfig{
-				Geometry:          cfg.Geometry,
-				Mapping:           cfg.Mapping,
-				Window:            w,
-				MitigateEveryREFs: every,
-				Seed:              cfg.Seed + uint64(cfg.Sub)*31,
-			}, sink), nil
-		},
-		Bound: func(cfg track.Config) (track.Bound, error) {
-			w, err := cfg.Params.Int("window")
-			if err != nil {
-				return track.Bound{}, err
-			}
-			return track.Bound{
-				TRHD: security.DefaultMINTModel().ToleratedTRHD(w),
-				Kind: fmt.Sprintf("MINT analytic tolerated TRHD at W=%d", w),
+			return track.Policy{
+				New: func(sub int, sink track.Sink) (track.Mitigator, error) {
+					return track.NewMINT(track.MINTConfig{
+						Geometry:          cfg.Geometry,
+						Mapping:           cfg.Mapping,
+						Window:            w,
+						MitigateEveryREFs: every,
+						Seed:              cfg.Seed + uint64(sub)*31,
+					}, sink), nil
+				},
+				Bound: mintBound(w, ""),
 			}, nil
 		},
 	})
@@ -176,32 +150,23 @@ func init() {
 		DefaultConfig: func(cfg track.Config) (track.Params, error) {
 			return track.Params{"entries": "28", "every": "4", "sample": "16"}, nil
 		},
-		New: func(cfg track.Config, sink track.Sink) (track.Mitigator, error) {
-			entries, err := cfg.Params.Int("entries")
-			if err != nil {
-				return nil, err
-			}
-			every, err := cfg.Params.Int("every")
-			if err != nil {
-				return nil, err
-			}
-			sample, err := cfg.Params.Int("sample")
-			if err != nil {
-				return nil, err
-			}
+		Resolve: func(cfg track.Config) (track.Policy, error) {
+			entries, every, sample := cfg.Params.Int("entries"), cfg.Params.Int("every"), cfg.Params.Int("sample")
 			if entries < 1 || every < 1 || sample < 1 {
-				return nil, fmt.Errorf("entries, every and sample must be >= 1, got %d/%d/%d", entries, every, sample)
+				return track.Policy{}, fmt.Errorf("entries, every and sample must be >= 1, got %d/%d/%d", entries, every, sample)
 			}
-			return track.NewTRR(track.TRRConfig{
-				Geometry:          cfg.Geometry,
-				Mapping:           cfg.Mapping,
-				Entries:           entries,
-				MitigateEveryREFs: every,
-				SampleEvery:       sample,
-			}, sink), nil
-		},
-		Bound: func(cfg track.Config) (track.Bound, error) {
-			return track.Bound{TRHD: cfg.TRHD, Kind: "nominal TRHD (TRR has no guarantee)"}, nil
+			return track.Policy{
+				New: func(sub int, sink track.Sink) (track.Mitigator, error) {
+					return track.NewTRR(track.TRRConfig{
+						Geometry:          cfg.Geometry,
+						Mapping:           cfg.Mapping,
+						Entries:           entries,
+						MitigateEveryREFs: every,
+						SampleEvery:       sample,
+					}, sink), nil
+				},
+				Bound: track.Bound{TRHD: cfg.TRHD, Kind: "nominal TRHD (TRR has no guarantee)"},
+			}, nil
 		},
 	})
 
@@ -215,34 +180,25 @@ func init() {
 		DefaultConfig: func(cfg track.Config) (track.Params, error) {
 			return track.Params{"entries": "2048", "every": "1"}, nil
 		},
-		New: func(cfg track.Config, sink track.Sink) (track.Mitigator, error) {
-			entries, err := cfg.Params.Int("entries")
-			if err != nil {
-				return nil, err
-			}
-			every, err := cfg.Params.Int("every")
-			if err != nil {
-				return nil, err
-			}
+		Resolve: func(cfg track.Config) (track.Policy, error) {
+			entries, every := cfg.Params.Int("entries"), cfg.Params.Int("every")
 			if entries < 1 || every < 1 {
-				return nil, fmt.Errorf("entries and every must be >= 1, got %d/%d", entries, every)
-			}
-			return track.NewMithril(track.MithrilConfig{
-				Geometry:          cfg.Geometry,
-				Mapping:           cfg.Mapping,
-				Entries:           entries,
-				MitigateEveryREFs: every,
-			}, sink), nil
-		},
-		Bound: func(cfg track.Config) (track.Bound, error) {
-			every, err := cfg.Params.Int("every")
-			if err != nil {
-				return track.Bound{}, err
+				return track.Policy{}, fmt.Errorf("entries and every must be >= 1, got %d/%d", entries, every)
 			}
 			w := security.WindowPerREFs(dram.DDR5(), every)
-			return track.Bound{
-				TRHD: security.DefaultMithrilModel().ToleratedTRHD(w),
-				Kind: fmt.Sprintf("Mithril analytic tolerated TRHD at W=%d", w),
+			return track.Policy{
+				New: func(sub int, sink track.Sink) (track.Mitigator, error) {
+					return track.NewMithril(track.MithrilConfig{
+						Geometry:          cfg.Geometry,
+						Mapping:           cfg.Mapping,
+						Entries:           entries,
+						MitigateEveryREFs: every,
+					}, sink), nil
+				},
+				Bound: track.Bound{
+					TRHD: security.DefaultMithrilModel().ToleratedTRHD(w),
+					Kind: fmt.Sprintf("Mithril analytic tolerated TRHD at W=%d", w),
+				},
 			}, nil
 		},
 	})
@@ -257,61 +213,60 @@ func init() {
 		DefaultConfig: func(cfg track.Config) (track.Params, error) {
 			return track.Params{"p": "0.1", "ath": "0"}, nil
 		},
-		New: func(cfg track.Config, sink track.Sink) (track.Mitigator, error) {
-			p, err := cfg.Params.Float("p")
-			if err != nil {
-				return nil, err
-			}
-			ath, err := cfg.Params.Int("ath")
-			if err != nil {
-				return nil, err
-			}
+		Resolve: func(cfg track.Config) (track.Policy, error) {
+			p, ath := cfg.Params.Float("p"), cfg.Params.Int("ath")
 			if p <= 0 || p > 1 {
-				return nil, fmt.Errorf("p must be in (0,1], got %v", p)
+				return track.Policy{}, fmt.Errorf("p must be in (0,1], got %v", p)
 			}
+			derated := track.MoPACDeratedATH(cfg.TRHD, p)
 			if ath == 0 {
-				ath = track.MoPACDeratedATH(cfg.TRHD, p)
+				ath = derated
 			}
 			if ath < 1 {
-				return nil, fmt.Errorf("ath must be >= 1, got %d", ath)
+				return track.Policy{}, fmt.Errorf("ath must be >= 1, got %d", ath)
 			}
 			if inc := track.MoPACIncrement(p); ath+inc-1 > track.MaxRowCount {
-				return nil, fmt.Errorf("ath + round(1/p) - 1 = %d exceeds %d (16-bit counters)", ath+inc-1, track.MaxRowCount)
+				return track.Policy{}, fmt.Errorf("ath + round(1/p) - 1 = %d exceeds %d (16-bit counters)", ath+inc-1, track.MaxRowCount)
 			}
-			return track.NewMoPAC(track.MoPACConfig{
-				Geometry:       cfg.Geometry,
-				Mapping:        cfg.Mapping,
-				SampleProb:     p,
-				AlertThreshold: ath,
-				Seed:           cfg.Seed + uint64(cfg.Sub)*31,
-			}, sink), nil
-		},
-		Timing: func(cfg track.Config) dram.Timing { return dram.PRAC() },
-		Bound: func(cfg track.Config) (track.Bound, error) {
-			p, err := cfg.Params.Float("p")
-			if err != nil {
-				return track.Bound{}, err
+			bound := track.Bound{TRHD: cfg.TRHD, Kind: "provisioned TRHD (probabilistic, 4-sigma derated ATH)"}
+			if ath > derated {
+				// A raised ATH tolerates only the smallest TRHD whose
+				// derated ATH reaches it; the derated ATH grows with the
+				// TRHD.
+				hi := max(cfg.TRHD, 1)
+				for track.MoPACDeratedATH(hi, p) < ath {
+					hi *= 2
+				}
+				bound = track.Bound{
+					TRHD: cfg.TRHD + 1 + sort.Search(hi-cfg.TRHD, func(i int) bool {
+						return track.MoPACDeratedATH(cfg.TRHD+1+i, p) >= ath
+					}),
+					Kind: fmt.Sprintf("smallest TRHD whose derated ATH reaches ATH=%d (probabilistic, 4-sigma)", ath),
+				}
 			}
-			ath, err := cfg.Params.Int("ath")
-			if err != nil {
-				return track.Bound{}, err
-			}
-			if ath <= track.MoPACDeratedATH(cfg.TRHD, p) {
-				return track.Bound{TRHD: cfg.TRHD, Kind: "provisioned TRHD (probabilistic, 4-sigma derated ATH)"}, nil
-			}
-			// A raised ATH tolerates only the smallest TRHD whose derated
-			// ATH reaches it; the derated ATH grows with the TRHD.
-			hi := max(cfg.TRHD, 1)
-			for track.MoPACDeratedATH(hi, p) < ath {
-				hi *= 2
-			}
-			trhd := cfg.TRHD + 1 + sort.Search(hi-cfg.TRHD, func(i int) bool {
-				return track.MoPACDeratedATH(cfg.TRHD+1+i, p) >= ath
-			})
-			return track.Bound{
-				TRHD: trhd,
-				Kind: fmt.Sprintf("smallest TRHD whose derated ATH reaches ATH=%d (probabilistic, 4-sigma)", ath),
+			return track.Policy{
+				New: func(sub int, sink track.Sink) (track.Mitigator, error) {
+					return track.NewMoPAC(track.MoPACConfig{
+						Geometry:       cfg.Geometry,
+						Mapping:        cfg.Mapping,
+						SampleProb:     p,
+						AlertThreshold: ath,
+						Seed:           cfg.Seed + uint64(sub)*31,
+					}, sink), nil
+				},
+				Timing: dram.PRAC(),
+				Bound:  bound,
 			}, nil
 		},
 	})
+}
+
+// mintBound is MINT's analytic tolerated TRHD at window w, the bound of
+// every policy that selects at least one of each w ACTs uniformly; note
+// qualifies the kind.
+func mintBound(w int, note string) track.Bound {
+	return track.Bound{
+		TRHD: security.DefaultMINTModel().ToleratedTRHD(w),
+		Kind: fmt.Sprintf("MINT analytic tolerated TRHD at W=%d%s", w, note),
+	}
 }

@@ -184,37 +184,29 @@ func init() {
 		DefaultConfig: func(cfg track.Config) (track.Params, error) {
 			return track.Params{"threshold": itoa(cfg.TRHD / 4), "entries": "0"}, nil
 		},
-		New: func(cfg track.Config, sink track.Sink) (track.Mitigator, error) {
-			t, err := cfg.Params.Int("threshold")
-			if err != nil {
-				return nil, err
-			}
-			entries, err := cfg.Params.Int("entries")
-			if err != nil {
-				return nil, err
-			}
+		Resolve: func(cfg track.Config) (track.Policy, error) {
+			t, entries := cfg.Params.Int("threshold"), cfg.Params.Int("entries")
 			if t < 1 {
-				return nil, fmt.Errorf("threshold must be >= 1, got %d", t)
+				return track.Policy{}, fmt.Errorf("threshold must be >= 1, got %d", t)
 			}
 			if entries == 0 {
 				entries = dram.DDR5().MaxACTsPerBankPerTREFW()/t + 1
 			}
-			return NewGraphene(GrapheneConfig{
-				Geometry:  cfg.Geometry,
-				Mapping:   cfg.Mapping,
-				Threshold: t,
-				Entries:   entries,
-			}, sink)
-		},
-		Bound: func(cfg track.Config) (track.Bound, error) {
-			t, err := cfg.Params.Int("threshold")
-			if err != nil {
-				return track.Bound{}, err
-			}
-			// Each aggressor of a double-sided pair is mitigated at every
-			// multiple of T, so a victim sees at most 2(T-1) + spillover
-			// slack < 4T unmitigated activations per reset window.
-			return track.Bound{TRHD: 4 * t, Kind: fmt.Sprintf("Graphene guarantee 4T (T=%d)", t)}, nil
+			return track.Policy{
+				New: func(sub int, sink track.Sink) (track.Mitigator, error) {
+					return NewGraphene(GrapheneConfig{
+						Geometry:  cfg.Geometry,
+						Mapping:   cfg.Mapping,
+						Threshold: t,
+						Entries:   entries,
+					}, sink)
+				},
+				// Each aggressor of a double-sided pair is mitigated at
+				// every multiple of T, so a victim sees at most 2(T-1) +
+				// spillover slack < 4T unmitigated activations per reset
+				// window.
+				Bound: track.Bound{TRHD: 4 * t, Kind: fmt.Sprintf("Graphene guarantee 4T (T=%d)", t)},
+			}, nil
 		},
 	})
 }

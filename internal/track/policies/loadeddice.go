@@ -153,32 +153,22 @@ func init() {
 			w := security.DefaultMINTModel().WindowForTRHD(cfg.TRHD)
 			return track.Params{"window": itoa(w)}, nil
 		},
-		New: func(cfg track.Config, sink track.Sink) (track.Mitigator, error) {
-			w, err := cfg.Params.Int("window")
-			if err != nil {
-				return nil, err
-			}
-			return NewLoadedDice(LoadedDiceConfig{
-				Geometry: cfg.Geometry,
-				Mapping:  cfg.Mapping,
-				Window:   w,
-				Seed:     cfg.Seed + uint64(cfg.Sub)*31,
-			}, sink)
-		},
-		RFMBAT: func(cfg track.Config) (int, error) {
-			return cfg.Params.Int("window")
-		},
-		Bound: func(cfg track.Config) (track.Bound, error) {
-			w, err := cfg.Params.Int("window")
-			if err != nil {
-				return track.Bound{}, err
-			}
-			// Selection is uniform over the at-most-W ACTs between RFMs,
-			// so the per-ACT selection probability is >= MINT's 1/W and
-			// the MINT analytic bound applies.
-			return track.Bound{
-				TRHD: security.DefaultMINTModel().ToleratedTRHD(w),
-				Kind: fmt.Sprintf("MINT analytic tolerated TRHD at W=%d (non-selection-free)", w),
+		Resolve: func(cfg track.Config) (track.Policy, error) {
+			w := cfg.Params.Int("window")
+			return track.Policy{
+				New: func(sub int, sink track.Sink) (track.Mitigator, error) {
+					return NewLoadedDice(LoadedDiceConfig{
+						Geometry: cfg.Geometry,
+						Mapping:  cfg.Mapping,
+						Window:   w,
+						Seed:     cfg.Seed + uint64(sub)*31,
+					}, sink)
+				},
+				RFMBAT: w,
+				// Selection is uniform over the at-most-W ACTs between
+				// RFMs, so the per-ACT selection probability is >= MINT's
+				// 1/W and the MINT analytic bound applies.
+				Bound: mintBound(w, " (non-selection-free)"),
 			}, nil
 		},
 	})

@@ -38,35 +38,20 @@ func mirzaDefaults(cfg track.Config, naive bool) (track.Params, error) {
 }
 
 // mirzaConfig assembles and validates a core.Config from the merged
-// parameter bag.
+// parameter bag, seeded for sub-channel 0.
 func mirzaConfig(cfg track.Config) (core.Config, error) {
 	c := core.Config{
 		Geometry:   cfg.Geometry,
 		Mapping:    cfg.Mapping,
-		Seed:       cfg.Seed + uint64(cfg.Sub),
+		Seed:       cfg.Seed,
 		TargetTRHD: cfg.TRHD,
+		FTH:        cfg.Params.Int("fth"),
+		MINTWindow: cfg.Params.Int("window"),
+		Regions:    cfg.Params.Int("regions"),
+		QueueSize:  cfg.Params.Int("queue"),
+		QTH:        cfg.Params.Int("qth"),
 	}
-	var err error
-	if c.FTH, err = cfg.Params.Int("fth"); err != nil {
-		return core.Config{}, err
-	}
-	if c.MINTWindow, err = cfg.Params.Int("window"); err != nil {
-		return core.Config{}, err
-	}
-	if c.Regions, err = cfg.Params.Int("regions"); err != nil {
-		return core.Config{}, err
-	}
-	if c.QueueSize, err = cfg.Params.Int("queue"); err != nil {
-		return core.Config{}, err
-	}
-	if c.QTH, err = cfg.Params.Int("qth"); err != nil {
-		return core.Config{}, err
-	}
-	reset, err := cfg.Params.Str("reset")
-	if err != nil {
-		return core.Config{}, err
-	}
-	switch reset {
+	switch reset := cfg.Params.Str("reset"); reset {
 	case "safe":
 		c.ResetPolicy = core.SafeReset
 	case "eager":
@@ -90,21 +75,21 @@ func registerMirza(name, doc string, naive bool) {
 		DefaultConfig: func(cfg track.Config) (track.Params, error) {
 			return mirzaDefaults(cfg, naive)
 		},
-		New: func(cfg track.Config, sink track.Sink) (track.Mitigator, error) {
+		Resolve: func(cfg track.Config) (track.Policy, error) {
 			c, err := mirzaConfig(cfg)
 			if err != nil {
-				return nil, err
+				return track.Policy{}, err
 			}
-			return core.New(c, sink)
-		},
-		Bound: func(cfg track.Config) (track.Bound, error) {
-			c, err := mirzaConfig(cfg)
-			if err != nil {
-				return track.Bound{}, err
-			}
-			return track.Bound{
-				TRHD: security.SafeTRHD(c, security.DefaultMINTModel()),
-				Kind: "SafeTRHD",
+			return track.Policy{
+				New: func(sub int, sink track.Sink) (track.Mitigator, error) {
+					c := c
+					c.Seed += uint64(sub)
+					return core.New(c, sink)
+				},
+				Bound: track.Bound{
+					TRHD: security.SafeTRHD(c, security.DefaultMINTModel()),
+					Kind: "SafeTRHD",
+				},
 			}, nil
 		},
 	})

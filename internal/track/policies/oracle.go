@@ -99,25 +99,20 @@ func init() {
 		DefaultConfig: func(cfg track.Config) (track.Params, error) {
 			return track.Params{"threshold": itoa(cfg.TRHD / 2)}, nil
 		},
-		New: func(cfg track.Config, sink track.Sink) (track.Mitigator, error) {
-			t, err := cfg.Params.Int("threshold")
-			if err != nil {
-				return nil, err
-			}
-			return NewOracle(OracleConfig{
-				Geometry:  cfg.Geometry,
-				Mapping:   cfg.Mapping,
-				Threshold: t,
-			}, sink)
-		},
-		Bound: func(cfg track.Config) (track.Bound, error) {
-			t, err := cfg.Params.Int("threshold")
-			if err != nil {
-				return track.Bound{}, err
-			}
-			// Both aggressors of a double-sided pair are mitigated at
-			// exactly T, so a victim never accrues 2T.
-			return track.Bound{TRHD: 2 * t, Kind: fmt.Sprintf("oracle guarantee 2T (T=%d)", t)}, nil
+		Resolve: func(cfg track.Config) (track.Policy, error) {
+			t := cfg.Params.Int("threshold")
+			return track.Policy{
+				New: func(sub int, sink track.Sink) (track.Mitigator, error) {
+					return NewOracle(OracleConfig{
+						Geometry:  cfg.Geometry,
+						Mapping:   cfg.Mapping,
+						Threshold: t,
+					}, sink)
+				},
+				// Both aggressors of a double-sided pair are mitigated at
+				// exactly T, so a victim never accrues 2T.
+				Bound: track.Bound{TRHD: 2 * t, Kind: fmt.Sprintf("oracle guarantee 2T (T=%d)", t)},
+			}, nil
 		},
 	})
 }

@@ -21,69 +21,37 @@ import (
 
 // Params is a flat string-keyed parameter bag. Defaults come from a
 // Descriptor's DefaultConfig; user overrides (the `-mitigation
-// name:key=val,...` syntax) are merged on top after validation against the
-// Descriptor's ConfigSchema.
+// name:key=val,...` syntax) are merged on top. Build checks that the merged
+// bag holds every ConfigSchema key with a value of its kind and nothing
+// else, so the getters cannot fail on a built bag: they panic only on a key
+// outside the schema, which is a bug in the policy reading it.
 type Params map[string]string
 
 // Int returns the named parameter as an int.
-func (p Params) Int(key string) (int, error) {
-	s, err := p.Str(key)
+func (p Params) Int(key string) int {
+	v, err := strconv.Atoi(p.Str(key))
 	if err != nil {
-		return 0, err
+		panic(fmt.Sprintf("track: param %q: %v", key, err))
 	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("param %q: %q is not an integer", key, s)
-	}
-	return v, nil
-}
-
-// Uint64 returns the named parameter as a uint64.
-func (p Params) Uint64(key string) (uint64, error) {
-	s, err := p.Str(key)
-	if err != nil {
-		return 0, err
-	}
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("param %q: %q is not an unsigned integer", key, s)
-	}
-	return v, nil
+	return v
 }
 
 // Float returns the named parameter as a float64.
-func (p Params) Float(key string) (float64, error) {
-	s, err := p.Str(key)
+func (p Params) Float(key string) float64 {
+	v, err := strconv.ParseFloat(p.Str(key), 64)
 	if err != nil {
-		return 0, err
+		panic(fmt.Sprintf("track: param %q: %v", key, err))
 	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("param %q: %q is not a number", key, s)
-	}
-	return v, nil
-}
-
-// Bool returns the named parameter as a bool ("true"/"false"/"1"/"0").
-func (p Params) Bool(key string) (bool, error) {
-	s, err := p.Str(key)
-	if err != nil {
-		return false, err
-	}
-	v, err := strconv.ParseBool(s)
-	if err != nil {
-		return false, fmt.Errorf("param %q: %q is not a bool", key, s)
-	}
-	return v, nil
+	return v
 }
 
 // Str returns the named parameter as a raw string.
-func (p Params) Str(key string) (string, error) {
+func (p Params) Str(key string) string {
 	s, ok := p[key]
 	if !ok {
-		return "", fmt.Errorf("param %q: not set", key)
+		panic(fmt.Sprintf("track: param %q is not in the schema", key))
 	}
-	return s, nil
+	return s
 }
 
 // clone returns a copy so callers cannot mutate shared state.
@@ -96,16 +64,14 @@ func (p Params) clone() Params {
 }
 
 // ParamKind names the value syntax of one parameter, used to validate
-// overrides before construction and rendered in listings (-list-mitigations,
-// GET /mitigations).
+// the merged bag before construction and rendered in listings
+// (-list-mitigations, GET /mitigations).
 type ParamKind string
 
 // Parameter kinds.
 const (
 	IntParam    ParamKind = "int"
-	UintParam   ParamKind = "uint"
 	FloatParam  ParamKind = "float"
-	BoolParam   ParamKind = "bool"
 	StringParam ParamKind = "string"
 )
 
@@ -114,12 +80,8 @@ func (k ParamKind) check(val string) error {
 	switch k {
 	case IntParam:
 		_, err = strconv.Atoi(val)
-	case UintParam:
-		_, err = strconv.ParseUint(val, 10, 64)
 	case FloatParam:
 		_, err = strconv.ParseFloat(val, 64)
-	case BoolParam:
-		_, err = strconv.ParseBool(val)
 	case StringParam:
 		return nil
 	default:
@@ -138,17 +100,15 @@ type ParamSpec struct {
 	Doc  string    `json:"doc"`
 }
 
-// Config is the environment a Descriptor's hooks close over: the DRAM
-// geometry and row-to-subarray mapping, the double-sided Rowhammer
-// threshold the defense must be provisioned for, the run seed, the
-// sub-channel index of the instance under construction, and the merged
-// parameter bag.
+// Config is the environment a Descriptor's hooks see: the DRAM geometry
+// and row-to-subarray mapping, the double-sided Rowhammer threshold the
+// defense must be provisioned for, the run seed, and the merged parameter
+// bag.
 type Config struct {
 	Geometry dram.Geometry
 	Mapping  dram.R2SAMapping
 	TRHD     int    // target double-sided Rowhammer threshold
 	Seed     uint64 // run seed; implementations derive per-sub-channel seeds
-	Sub      int    // sub-channel index of the instance being built
 	Params   Params
 }
 
@@ -161,8 +121,23 @@ type Bound struct {
 	Kind string
 }
 
-// Descriptor registers one defense. Only Name and New are mandatory; nil
-// hooks fall back to documented defaults.
+// Policy is one resolved configuration of a defense: everything the memory
+// controller and the simulators need, derived once from the parameter bag.
+type Policy struct {
+	// New constructs the instance for sub-channel sub, wired to sink.
+	New func(sub int, sink Sink) (Mitigator, error)
+	// Timing is the DRAM timing the memory controller must use with this
+	// defense (PRAC-enabled parts have a longer tRC). Zero means DDR5.
+	Timing dram.Timing
+	// RFMBAT is the Bank Activation Threshold at which the memory
+	// controller issues RFM commands; 0 means no RFMs.
+	RFMBAT int
+	// Bound is the guaranteed disturbance bound. Zero means the nominal
+	// TRHD.
+	Bound Bound
+}
+
+// Descriptor registers one defense. Name and Resolve are mandatory.
 type Descriptor struct {
 	// Name is the canonical registry key (matched case-insensitively).
 	Name string
@@ -177,20 +152,11 @@ type Descriptor struct {
 	ConfigSchema []ParamSpec
 	// DefaultConfig derives the default parameter bag from the
 	// environment (Table-I provisioning lives here, in exactly one
-	// place). Nil means the policy has no parameters.
+	// place). It must set every schema key. Nil means no parameters.
 	DefaultConfig func(cfg Config) (Params, error)
-	// New constructs one sub-channel instance wired to sink.
-	New func(cfg Config, sink Sink) (Mitigator, error)
-	// Timing returns the DRAM timing the memory controller must use with
-	// this defense (PRAC-enabled parts have a longer tRC). Nil means
-	// standard DDR5.
-	Timing func(cfg Config) dram.Timing
-	// RFMBAT returns the Bank Activation Threshold at which the memory
-	// controller issues RFM commands, or 0 for no RFMs. Nil means 0.
-	RFMBAT func(cfg Config) (int, error)
-	// Bound returns the guaranteed disturbance bound. Nil means the
-	// nominal TRHD.
-	Bound func(cfg Config) (Bound, error)
+	// Resolve reads and range-checks cfg.Params, whose schema Build has
+	// already checked, and returns the policy they configure.
+	Resolve func(cfg Config) (Policy, error)
 }
 
 var (
@@ -199,8 +165,8 @@ var (
 )
 
 // Register adds a defense to the registry. It panics on an empty or
-// already-registered name (case-insensitive) or a nil New hook — these are
-// programming errors in the registering package's init().
+// already-registered name (case-insensitive) or a nil Resolve hook — these
+// are programming errors in the registering package's init().
 func Register(d Descriptor) {
 	if strings.TrimSpace(d.Name) == "" {
 		panic("track: Register with empty name")
@@ -208,8 +174,8 @@ func Register(d Descriptor) {
 	if strings.ContainsAny(d.Name, ":,= \t\n") {
 		panic(fmt.Sprintf("track: Register name %q contains reserved characters", d.Name))
 	}
-	if d.New == nil {
-		panic(fmt.Sprintf("track: Register(%q) with nil New", d.Name))
+	if d.Resolve == nil {
+		panic(fmt.Sprintf("track: Register(%q) with nil Resolve", d.Name))
 	}
 	key := strings.ToLower(d.Name)
 	registryMu.Lock()
@@ -262,21 +228,20 @@ func Lookup(name string) (Descriptor, error) {
 }
 
 // Built is a validated, ready-to-instantiate defense: the parameter bag is
-// merged and schema-checked, a trial construction has succeeded, and the
-// derived memory-controller settings (timing, RFM BAT, security bound) are
-// resolved. One Built fans out to any number of per-sub-channel instances.
+// merged and schema-checked, the policy is resolved, and a trial
+// construction has succeeded. One Built fans out to any number of
+// per-sub-channel instances.
 type Built struct {
 	desc   Descriptor
-	cfg    Config // Params merged; Sub is set per NewMitigator call
-	timing dram.Timing
-	bat    int
-	bound  Bound
+	params Params
+	policy Policy
 }
 
 // Build resolves name, merges overrides over the policy's DefaultConfig,
-// validates keys and value syntax against the ConfigSchema, and proves the
-// configuration constructible with a trial instantiation. env.Params is
-// ignored; pass overrides explicitly.
+// checks that the merged bag holds exactly the ConfigSchema keys with
+// values of their kinds, resolves the policy, and proves it constructible
+// with a trial instantiation. env.Params is ignored; pass overrides
+// explicitly.
 func Build(name string, overrides map[string]string, env Config) (*Built, error) {
 	d, err := Lookup(name)
 	if err != nil {
@@ -295,34 +260,39 @@ func Build(name string, overrides map[string]string, env Config) (*Built, error)
 		specs[s.Key] = s
 	}
 	for k, v := range overrides {
-		spec, ok := specs[k]
-		if !ok {
+		if _, ok := specs[k]; !ok {
 			return nil, fmt.Errorf("track: %s has no param %q; known params: %s",
 				d.Name, k, schemaKeys(d.ConfigSchema))
 		}
-		if err := spec.Kind.check(v); err != nil {
-			return nil, fmt.Errorf("track: %s: param %q: value %q: %v", d.Name, k, v, err)
-		}
 		params[k] = v
 	}
+	for _, s := range d.ConfigSchema {
+		v, ok := params[s.Key]
+		if !ok {
+			return nil, fmt.Errorf("track: %s: param %q has no default", d.Name, s.Key)
+		}
+		if err := s.Kind.check(v); err != nil {
+			return nil, fmt.Errorf("track: %s: param %q: value %q: %v", d.Name, s.Key, v, err)
+		}
+	}
+	if len(params) != len(specs) {
+		return nil, fmt.Errorf("track: %s: default config sets params outside the schema; known params: %s",
+			d.Name, schemaKeys(d.ConfigSchema))
+	}
 	env.Params = params
-	env.Sub = 0
-	if _, err := d.New(env, NopSink{}); err != nil {
+	p, err := d.Resolve(env)
+	if err != nil {
 		return nil, fmt.Errorf("track: %s: %w", d.Name, err)
 	}
-	b := &Built{desc: d, cfg: env, timing: dram.DDR5(), bound: Bound{env.TRHD, "nominal TRHD"}}
-	if d.Timing != nil {
-		b.timing = d.Timing(env)
+	if p.Timing == (dram.Timing{}) {
+		p.Timing = dram.DDR5()
 	}
-	if d.RFMBAT != nil {
-		if b.bat, err = d.RFMBAT(env); err != nil {
-			return nil, fmt.Errorf("track: %s: %w", d.Name, err)
-		}
+	if p.Bound == (Bound{}) {
+		p.Bound = Bound{env.TRHD, "nominal TRHD"}
 	}
-	if d.Bound != nil {
-		if b.bound, err = d.Bound(env); err != nil {
-			return nil, fmt.Errorf("track: %s: %w", d.Name, err)
-		}
+	b := &Built{desc: d, params: params, policy: p}
+	if _, err := b.NewMitigator(0, NopSink{}); err != nil {
+		return nil, err
 	}
 	return b, nil
 }
@@ -349,24 +319,21 @@ func (b *Built) Doc() string { return b.desc.Doc }
 func (b *Built) Insecure() bool { return b.desc.Insecure }
 
 // Params returns a copy of the merged parameter bag.
-func (b *Built) Params() Params { return b.cfg.Params.clone() }
+func (b *Built) Params() Params { return b.params.clone() }
 
 // Timing returns the DRAM timing to drive the defense with.
-func (b *Built) Timing() dram.Timing { return b.timing }
+func (b *Built) Timing() dram.Timing { return b.policy.Timing }
 
 // RFMBAT returns the memory controller's RFM Bank Activation Threshold
 // (0 = no RFMs).
-func (b *Built) RFMBAT() int { return b.bat }
+func (b *Built) RFMBAT() int { return b.policy.RFMBAT }
 
 // Bound returns the guaranteed disturbance bound.
-func (b *Built) Bound() Bound { return b.bound }
+func (b *Built) Bound() Bound { return b.policy.Bound }
 
 // NewMitigator constructs the instance for one sub-channel.
 func (b *Built) NewMitigator(sub int, sink Sink) (Mitigator, error) {
-	cfg := b.cfg
-	cfg.Sub = sub
-	cfg.Params = b.cfg.Params // shared read-only after Build
-	m, err := b.desc.New(cfg, sink)
+	m, err := b.policy.New(sub, sink)
 	if err != nil {
 		return nil, fmt.Errorf("track: %s: %w", b.desc.Name, err)
 	}

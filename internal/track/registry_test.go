@@ -25,15 +25,11 @@ func testDescriptor(t *testing.T, name string) Descriptor {
 		DefaultConfig: func(cfg Config) (Params, error) {
 			return Params{"entries": "28", "p": "0.5"}, nil
 		},
-		New: func(cfg Config, sink Sink) (Mitigator, error) {
-			n, err := cfg.Params.Int("entries")
-			if err != nil {
-				return nil, err
+		Resolve: func(cfg Config) (Policy, error) {
+			if n := cfg.Params.Int("entries"); n < 1 {
+				return Policy{}, fmt.Errorf("entries must be >= 1, got %d", n)
 			}
-			if n < 1 {
-				return nil, fmt.Errorf("entries must be >= 1, got %d", n)
-			}
-			return NewNop(), nil
+			return Policy{New: func(int, Sink) (Mitigator, error) { return NewNop(), nil }}, nil
 		},
 	}
 	Register(d)
@@ -42,9 +38,19 @@ func testDescriptor(t *testing.T, name string) Descriptor {
 
 func mustPanic(t *testing.T, what string, f func()) {
 	t.Helper()
+	mustPanicWith(t, what, "", f)
+}
+
+// mustPanicWith asserts that f panics with a message containing want.
+func mustPanicWith(t *testing.T, what, want string, f func()) {
+	t.Helper()
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatalf("%s: expected panic", what)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("%s: panic %q does not contain %q", what, msg, want)
 		}
 	}()
 	f()
@@ -52,9 +58,9 @@ func mustPanic(t *testing.T, what string, f func()) {
 
 func TestRegisterValidation(t *testing.T) {
 	mustPanic(t, "empty name", func() { Register(Descriptor{Name: "  "}) })
-	mustPanic(t, "nil New", func() { Register(Descriptor{Name: "reg-test-nilnew"}) })
+	mustPanic(t, "nil Resolve", func() { Register(Descriptor{Name: "reg-test-nilresolve"}) })
 	mustPanic(t, "reserved chars", func() {
-		Register(Descriptor{Name: "bad:name", New: func(Config, Sink) (Mitigator, error) { return NewNop(), nil }})
+		Register(Descriptor{Name: "bad:name", Resolve: func(Config) (Policy, error) { return Policy{}, nil }})
 	})
 }
 
@@ -121,30 +127,30 @@ func TestBuildDefaultsAndOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := b.Params().Int("entries"); got != 28 {
+	if got := b.Params().Int("entries"); got != 28 {
 		t.Fatalf("default entries = %d, want 28", got)
 	}
 	if b.Name() != "reg-test-build" {
 		t.Fatalf("Name() = %q", b.Name())
 	}
 	if b.Timing() != dram.DDR5() {
-		t.Fatal("nil Timing hook should default to DDR5")
+		t.Fatal("zero Policy.Timing should default to DDR5")
 	}
 	if b.RFMBAT() != 0 {
-		t.Fatalf("nil RFMBAT hook should default to 0, got %d", b.RFMBAT())
+		t.Fatalf("zero Policy.RFMBAT should mean no RFMs, got %d", b.RFMBAT())
 	}
 	if bd := b.Bound(); bd.TRHD != 1000 || bd.Kind != "nominal TRHD" {
-		t.Fatalf("nil Bound hook gave %+v", bd)
+		t.Fatalf("zero Policy.Bound gave %+v", bd)
 	}
 
 	b, err = Build("reg-test-build", map[string]string{"entries": "7"}, testEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := b.Params().Int("entries"); got != 7 {
+	if got := b.Params().Int("entries"); got != 7 {
 		t.Fatalf("override entries = %d, want 7", got)
 	}
-	if got, _ := b.Params().Float("p"); got != 0.5 {
+	if got := b.Params().Float("p"); got != 0.5 {
 		t.Fatalf("untouched default p = %v, want 0.5", got)
 	}
 	if m := b.Factory()(0, nil); m == nil {
@@ -180,33 +186,63 @@ func TestBuildRejectsBadOverrides(t *testing.T) {
 	}
 }
 
+// TestBuildChecksSchemaBag: Build refuses a descriptor whose defaults do
+// not fill its schema with values of the right kinds, naming the key, so a
+// policy's Resolve only ever sees a complete, well-formed bag.
+func TestBuildChecksSchemaBag(t *testing.T) {
+	resolve := func(Config) (Policy, error) {
+		return Policy{New: func(int, Sink) (Mitigator, error) { return NewNop(), nil }}, nil
+	}
+	schema := []ParamSpec{{Key: "entries", Kind: IntParam}, {Key: "p", Kind: FloatParam}}
+	for _, c := range []struct {
+		name     string
+		defaults Params
+		want     string
+	}{
+		{"reg-test-nodefault", Params{"entries": "28"}, `param "p" has no default`},
+		{"reg-test-badkind", Params{"entries": "many", "p": "0.5"}, `param "entries": value "many": not a valid int`},
+		{"reg-test-extra", Params{"entries": "28", "p": "0.5", "q": "1"}, "outside the schema"},
+	} {
+		defaults := c.defaults
+		Register(Descriptor{
+			Name: c.name, ConfigSchema: schema, Resolve: resolve,
+			DefaultConfig: func(Config) (Params, error) { return defaults, nil },
+		})
+		if _, err := Build(c.name, nil, testEnv()); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Build error = %v, want substring %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestResolveOutsideSchemaPanics: reading a key the schema does not
+// declare is a bug in the policy, and the getter panics naming the key.
+func TestResolveOutsideSchemaPanics(t *testing.T) {
+	Register(Descriptor{
+		Name:          "reg-test-outside",
+		ConfigSchema:  []ParamSpec{{Key: "entries", Kind: IntParam}},
+		DefaultConfig: func(Config) (Params, error) { return Params{"entries": "28"}, nil },
+		Resolve: func(cfg Config) (Policy, error) {
+			cfg.Params.Int("entrees")
+			return Policy{}, nil
+		},
+	})
+	mustPanicWith(t, "Resolve reading an undeclared key", `"entrees"`, func() {
+		Build("reg-test-outside", nil, testEnv())
+	})
+}
+
 func TestParamsAccessors(t *testing.T) {
-	p := Params{"i": "-3", "u": "42", "f": "0.25", "b": "true", "s": "hello"}
-	if v, err := p.Int("i"); err != nil || v != -3 {
-		t.Errorf("Int = %d, %v", v, err)
+	p := Params{"i": "-3", "f": "0.25", "s": "hello"}
+	if v := p.Int("i"); v != -3 {
+		t.Errorf("Int = %d", v)
 	}
-	if v, err := p.Uint64("u"); err != nil || v != 42 {
-		t.Errorf("Uint64 = %d, %v", v, err)
+	if v := p.Float("f"); v != 0.25 {
+		t.Errorf("Float = %v", v)
 	}
-	if v, err := p.Float("f"); err != nil || v != 0.25 {
-		t.Errorf("Float = %v, %v", v, err)
+	if v := p.Str("s"); v != "hello" {
+		t.Errorf("Str = %q", v)
 	}
-	if v, err := p.Bool("b"); err != nil || !v {
-		t.Errorf("Bool = %v, %v", v, err)
-	}
-	if v, err := p.Str("s"); err != nil || v != "hello" {
-		t.Errorf("Str = %q, %v", v, err)
-	}
-	if _, err := p.Int("missing"); err == nil {
-		t.Error("Int(missing): want error")
-	}
-	if _, err := p.Int("s"); err == nil {
-		t.Error("Int on non-integer: want error")
-	}
-	if _, err := p.Uint64("i"); err == nil {
-		t.Error("Uint64 on negative: want error")
-	}
-	if _, err := p.Bool("s"); err == nil {
-		t.Error("Bool on non-bool: want error")
-	}
+	mustPanicWith(t, "Int(missing)", `"missing"`, func() { p.Int("missing") })
+	mustPanicWith(t, "Int on non-integer", `"s"`, func() { p.Int("s") })
+	mustPanicWith(t, "Float on non-number", `"s"`, func() { p.Float("s") })
 }
