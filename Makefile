@@ -1,15 +1,10 @@
 # Developer entry points. `make check` is the CI gate: vet + build + the
-# race-enabled test suite at short fidelity (full-fidelity experiment paths
-# are exercised by `make test`).
+# race-enabled test suite in -short mode (full-fidelity experiment paths
+# are exercised by `make test`). The experiment test helpers run the job
+# engine with four workers, so the race detector watches the parallel path
+# even on a 1-CPU host.
 
 GO ?= go
-
-# Short-fidelity preset: tiny timing windows and a single workload so the
-# race-enabled sweep finishes in CI time (see DefaultOptions in
-# internal/experiments for the variables). MIRZA_PARALLELISM=4 runs the
-# experiment job engine with four workers so the race detector watches the
-# parallel path, not just -j 1.
-SHORT_ENV = MIRZA_MEASURE_MS=0.2 MIRZA_WARMUP_MS=0.1 MIRZA_REPLAY_WINDOWS=2 MIRZA_WORKLOADS=xz MIRZA_PARALLELISM=4
 
 .PHONY: check vet build test test-race test-telemetry serve-check trace-check sweep-check audit conformance bench-check clean
 
@@ -28,7 +23,7 @@ test:
 	$(GO) test ./...
 
 test-race:
-	$(SHORT_ENV) $(GO) test -race -short ./...
+	$(GO) test -race -short ./...
 
 # The telemetry and job-pool suites at full fidelity under the race
 # detector: these cover the only registry writes that happen live during

@@ -104,15 +104,12 @@ func main() {
 		return
 	}
 
-	opts, err := experiments.DefaultOptions()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mirza-bench:", err)
-		os.Exit(2)
-	}
+	opts := experiments.DefaultOptions()
 	if *quick {
 		opts = opts.Quick()
 	}
-	if opts, err = scaleWindows(opts, *measureMS, *warmupMS, *windows); err != nil {
+	opts, err = scaleWindows(opts, *measureMS, *warmupMS, *windows)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "mirza-bench:", err)
 		os.Exit(2)
 	}
@@ -203,8 +200,8 @@ func main() {
 		}
 	}
 
+	opts.JobTimeout = *timeout
 	suite := experiments.NewSuite(opts, experiments.SuiteConfig{
-		Timeout: *timeout,
 		NoRetry: *noRetry,
 		Logf:    logf,
 	})

@@ -14,11 +14,7 @@ import (
 // overrides it, and degenerate values are errors naming the flag (the
 // command exits 2 on them instead of running at the defaults).
 func TestScaleWindows(t *testing.T) {
-	def, err := experiments.DefaultOptions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	def = def.Quick()
+	def := experiments.DefaultOptions().Quick()
 	cases := []struct {
 		measure, warmup float64
 		windows         int

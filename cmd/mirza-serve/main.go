@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"mirza/internal/cliflags"
-	"mirza/internal/experiments"
 	"mirza/internal/serve"
 	"mirza/internal/sweep"
 )
@@ -87,12 +86,6 @@ func run(listen string, workers, queue, cacheEnt, cacheMB int, jobTO, maxJobTO, 
 	}
 	if j < 0 {
 		logf("-j: worker count must be >= 0, got %d", j)
-		return 2
-	}
-	// Every job starts from experiments.DefaultOptions, so a malformed
-	// MIRZA_* override would fail each request; refuse to start instead.
-	if _, err := experiments.DefaultOptions(); err != nil {
-		logf("%v", err)
 		return 2
 	}
 

@@ -366,7 +366,7 @@ func writeReport(sb *strings.Builder, sys *cpu.System, opts experiments.Options,
 func actPKI(acts int64, ipcs []float64, window dram.Time) float64 {
 	var instr float64
 	for _, ipc := range ipcs {
-		instr += ipc * float64(window) / 250
+		instr += ipc * float64(window) / float64(cpu.CycleTime)
 	}
 	if instr == 0 {
 		return 0

@@ -7,9 +7,8 @@
 // mitigation policy flags of mirza-sim and mirza-attack
 // (RegisterMitigation). Keeping the parsing in one place
 // keeps the binaries' flag semantics — and their error messages for
-// malformed input — identical. The window, replay-window and workload
-// rules also check the MIRZA_* environment overrides read by
-// experiments.DefaultOptions.
+// malformed input — identical. The window and replay-window rules also
+// check the matching mirza-serve request fields.
 package cliflags
 
 import (
@@ -198,7 +197,7 @@ func (m *Mitigation) Build() (*track.Built, error) {
 }
 
 // WindowMS validates a simulated-time window given in milliseconds (the
-// -ms, -measure-ms and -warmup-ms flags, or a MIRZA_*_MS variable) and
+// -ms, -measure-ms and -warmup-ms flags, or a request field) and
 // converts it to simulated time; label names the source in the error. The
 // value must be finite, not negative and representable in picoseconds. A
 // zero is accepted only when zeroOK — mirza-sim's -warmup-ms 0 means no
@@ -219,8 +218,8 @@ func WindowMS(label string, ms float64, zeroOK bool) (dram.Time, error) {
 	return t, nil
 }
 
-// ReplayWindows validates a replay-window count (-replay-windows or
-// MIRZA_REPLAY_WINDOWS, named by label): 0 selects the default, and an
+// ReplayWindows validates a replay-window count (-replay-windows or a
+// request field, named by label): 0 selects the default, and an
 // explicit count must cover the warmup window plus at least one measured
 // window.
 func ReplayWindows(label string, n int) error {
@@ -230,9 +229,9 @@ func ReplayWindows(label string, n int) error {
 	return nil
 }
 
-// Workloads validates a comma-separated workload list (-workloads or
-// MIRZA_WORKLOADS, named by label) against the workload table. An empty
-// list selects every workload (nil); otherwise every name must be a known
+// Workloads validates a comma-separated workload list (-workloads, named
+// by label) against the workload table. An empty list selects every
+// workload (nil); otherwise every name, trimmed of spaces, must be a known
 // workload, so a typo or a stray comma fails the command instead of being
 // ignored or failing mid-run.
 func Workloads(label, list string) ([]string, error) {
@@ -240,10 +239,12 @@ func Workloads(label, list string) ([]string, error) {
 		return nil, nil
 	}
 	names := strings.Split(list, ",")
-	for _, n := range names {
+	for i := range names {
+		n := strings.TrimSpace(names[i])
 		if _, err := trace.Lookup(n); err != nil {
 			return nil, fmt.Errorf("%s: unknown workload %q in %q (valid: %s)", label, n, list, strings.Join(trace.WorkloadNames(), ", "))
 		}
+		names[i] = n
 	}
 	return names, nil
 }

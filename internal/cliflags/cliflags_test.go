@@ -194,7 +194,10 @@ func TestWorkloads(t *testing.T) {
 		{"xz,,xz", nil, `""`},
 		{"xz,", nil, `""`},
 		{",", nil, `""`},
-		{"xz, mcf", nil, `" mcf"`},
+		{"xz, bc", []string{"xz", "bc"}, ""},
+		{" xz ,mcf ", []string{"xz", "mcf"}, ""},
+		{"xz, ,bc", nil, `""`},
+		{"xz, nosuch", nil, `"nosuch"`},
 		{"XZ", nil, `"XZ"`},
 	} {
 		got, err := Workloads("-workloads", tc.list)

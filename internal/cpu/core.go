@@ -9,26 +9,25 @@ import (
 	"mirza/internal/trace"
 )
 
-// CoreConfig parameterizes one out-of-order core (Table III defaults).
+// The core model of Table III: every core retires up to width
+// instructions per cycle from a robSize-entry reorder buffer, clocked at
+// 4 GHz.
+const (
+	width   = 4   // retire width, instructions per cycle
+	robSize = 392 // reorder-buffer entries
+
+	// CycleTime is the core clock period (250 ps at 4 GHz).
+	CycleTime = 250 * dram.Picosecond
+)
+
+// CoreConfig parameterizes one out-of-order core.
 type CoreConfig struct {
-	Width     int       // retire width, instructions per cycle (4)
-	ROB       int       // reorder-buffer entries (392)
-	MSHR      int       // maximum outstanding misses (16)
-	CycleTime dram.Time // clock period (250ps at 4GHz)
+	MSHR int // maximum outstanding misses (16), calibrated per workload
 }
 
 func (c *CoreConfig) setDefaults() {
-	if c.Width == 0 {
-		c.Width = 4
-	}
-	if c.ROB == 0 {
-		c.ROB = 392
-	}
 	if c.MSHR == 0 {
 		c.MSHR = 16
-	}
-	if c.CycleTime == 0 {
-		c.CycleTime = 250 * dram.Picosecond
 	}
 }
 
@@ -104,8 +103,8 @@ type writeReq struct {
 func (w *writeReq) recycle(dram.Time) { w.c.writePool = append(w.c.writePool, w) }
 
 // Core is a trace-driven core with an ROB-occupancy stall model: it issues
-// instructions at Width per cycle, sends loads that miss the LLC to the
-// memory controller, and stalls when the oldest incomplete load falls ROB
+// instructions at width per cycle, sends loads that miss the LLC to the
+// memory controller, and stalls when the oldest incomplete load falls robSize
 // instructions behind the issue point (or when MSHRs are exhausted).
 type Core struct {
 	id  int
@@ -169,13 +168,13 @@ func (c *Core) IPC(now dram.Time) float64 {
 	if now <= 0 {
 		return 0
 	}
-	cycles := float64(now) / float64(c.cfg.CycleTime)
+	cycles := float64(now) / float64(CycleTime)
 	return float64(c.pos) / cycles
 }
 
 // issueTime returns the front-end time to issue n instructions.
 func (c *Core) issueTime(n int64) dram.Time {
-	return dram.Time(n) * c.cfg.CycleTime / dram.Time(c.cfg.Width)
+	return dram.Time(n) * CycleTime / width
 }
 
 func (c *Core) run() {
@@ -191,7 +190,7 @@ func (c *Core) run() {
 
 		limit := int64(math.MaxInt64)
 		if c.outstanding.len() > 0 {
-			limit = c.outstanding.front().pos + int64(c.cfg.ROB)
+			limit = c.outstanding.front().pos + robSize
 		}
 		target := c.opPos
 		if limit < target {
@@ -203,7 +202,7 @@ func (c *Core) run() {
 				// Issuing up to target takes front-end time: advance only
 				// the instructions that fit by now (so IPC accounting is
 				// exact at any instant) and continue at a timed wake.
-				fit := int64(now-c.posAt) * int64(c.cfg.Width) / int64(c.cfg.CycleTime)
+				fit := int64(now-c.posAt) * width / int64(CycleTime)
 				if fit > 0 {
 					c.pos += fit
 					c.posAt += c.issueTime(fit)
@@ -241,13 +240,13 @@ func (c *Core) SyncClock(now dram.Time) {
 	}
 	limit := int64(math.MaxInt64)
 	if c.outstanding.len() > 0 {
-		limit = c.outstanding.front().pos + int64(c.cfg.ROB)
+		limit = c.outstanding.front().pos + robSize
 	}
 	target := c.opPos
 	if limit < target {
 		target = limit
 	}
-	fit := int64(now-c.posAt) * int64(c.cfg.Width) / int64(c.cfg.CycleTime)
+	fit := int64(now-c.posAt) * width / int64(CycleTime)
 	if c.pos+fit > target {
 		fit = target - c.pos
 	}

@@ -43,7 +43,7 @@ type System struct {
 	Mapper  *vmap.Mapper
 	LLC     *LLC
 
-	// Watchdog, when non-nil, lets RunChecked abort a stalled simulation
+	// Watchdog, when non-nil, lets RunCtx abort a stalled simulation
 	// (no event-time progress within the wall-clock budget) instead of
 	// spinning forever. Run ignores it.
 	Watchdog *sim.Watchdog
@@ -126,18 +126,13 @@ func (s *System) Run(until dram.Time) {
 	s.Kernel.RunUntil(until)
 }
 
-// RunChecked is Run under the system's Watchdog: it returns a
+// RunCtx is Run under the system's Watchdog and a context. It returns a
 // *sim.StallError with a diagnostic snapshot if simulated time stops
-// advancing for longer than the watchdog's wall-clock budget. With a nil
-// Watchdog it is identical to Run (and never fails).
-func (s *System) RunChecked(until dram.Time) error {
-	return s.RunCtx(context.Background(), until)
-}
-
-// RunCtx is RunChecked under a context: cancellation is polled between
-// event batches, so job deadlines and -timeout stop a simulation mid-run
-// instead of only at run boundaries. On cancellation it returns ctx.Err()
-// with the system left resumable.
+// advancing for longer than the watchdog's wall-clock budget (never with a
+// nil Watchdog). Cancellation is polled between event batches, so job
+// deadlines and -timeout stop a simulation mid-run instead of only at run
+// boundaries; on cancellation it returns ctx.Err() with the system left
+// resumable.
 func (s *System) RunCtx(ctx context.Context, until dram.Time) error {
 	s.start()
 	return s.Kernel.RunUntilCtx(ctx, until, s.Watchdog)
@@ -175,7 +170,7 @@ func (s *System) IPCs() []float64 {
 		return out
 	}
 	for i, c := range s.Cores {
-		cycles := float64(elapsed) / float64(c.cfg.CycleTime)
+		cycles := float64(elapsed) / float64(CycleTime)
 		out[i] = float64(c.Retired()-s.posSnapshot[i]) / cycles
 	}
 	return out

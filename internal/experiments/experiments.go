@@ -15,15 +15,14 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"mirza/internal/cliflags"
 	"mirza/internal/core"
+	"mirza/internal/cpu"
 	"mirza/internal/dram"
 	"mirza/internal/fault"
 	"mirza/internal/jobs"
@@ -90,9 +89,9 @@ type Options struct {
 	// Parallelism is the worker count of the job engine: every experiment
 	// decomposes into independent (workload, timing, mitigator-factory,
 	// seed) jobs executed on this many workers, with results gathered in
-	// submission order. 0 defaults to runtime.GOMAXPROCS(0), overridable
-	// through MIRZA_PARALLELISM; 1 reproduces the strictly sequential
-	// engine exactly (see DESIGN.md §9 for the determinism contract).
+	// submission order. 0 defaults to runtime.GOMAXPROCS(0); 1 reproduces
+	// the strictly sequential engine exactly (see DESIGN.md §9 for the
+	// determinism contract).
 	Parallelism int
 
 	// JobTimeout, when positive, is the wall-clock deadline per job. A
@@ -123,13 +122,12 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// DefaultOptions returns full-fidelity settings, overridable through the
-// environment: MIRZA_MEASURE_MS, MIRZA_WARMUP_MS, MIRZA_REPLAY_WINDOWS,
-// MIRZA_WORKLOADS (comma-separated) and MIRZA_PARALLELISM. Each variable
-// is checked by the rule of the matching mirza-bench flag (0 keeps the
-// default), and a malformed value is an error naming the variable.
-func DefaultOptions() (Options, error) {
-	o := Options{
+// DefaultOptions returns full-fidelity settings. It reads no environment:
+// callers change the fields they need, as mirza-bench does from its flags
+// (-measure-ms, -warmup-ms, -replay-windows, -workloads, -j) and
+// mirza-serve from request fields.
+func DefaultOptions() Options {
+	return Options{
 		Seed:              1,
 		Warmup:            dram.Millisecond / 2,
 		Measure:           3 * dram.Millisecond / 2,
@@ -137,72 +135,6 @@ func DefaultOptions() (Options, error) {
 		CalibrationWindow: dram.Millisecond,
 		Cores:             8,
 	}
-	var err error
-	if o.Measure, err = envMS("MIRZA_MEASURE_MS", o.Measure); err != nil {
-		return Options{}, err
-	}
-	if o.Warmup, err = envMS("MIRZA_WARMUP_MS", o.Warmup); err != nil {
-		return Options{}, err
-	}
-	n, err := envInt("MIRZA_REPLAY_WINDOWS")
-	if err == nil {
-		err = cliflags.ReplayWindows("MIRZA_REPLAY_WINDOWS", n)
-	}
-	if err != nil {
-		return Options{}, err
-	}
-	if n != 0 {
-		o.ReplayWindows = n
-	}
-	if o.Workloads, err = cliflags.Workloads("MIRZA_WORKLOADS", os.Getenv("MIRZA_WORKLOADS")); err != nil {
-		return Options{}, err
-	}
-	if o.Parallelism, err = envParallelism(); err != nil {
-		return Options{}, err
-	}
-	return o, nil
-}
-
-// envMS reads the window in milliseconds in the environment variable
-// name, def when it is unset or 0.
-func envMS(name string, def dram.Time) (dram.Time, error) {
-	v := os.Getenv(name)
-	if v == "" {
-		return def, nil
-	}
-	ms, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %q is not a number of milliseconds", name, v)
-	}
-	t, err := cliflags.WindowMS(name, ms, true)
-	if err != nil || t > 0 {
-		return t, err
-	}
-	return def, nil
-}
-
-// envInt reads the integer in the environment variable name, 0 when it is
-// unset.
-func envInt(name string) (int, error) {
-	v := os.Getenv(name)
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %q is not an integer", name, v)
-	}
-	return n, nil
-}
-
-// envParallelism reads MIRZA_PARALLELISM, 0 (the default) when unset; like
-// -j, a negative worker count is an error.
-func envParallelism() (int, error) {
-	n, err := envInt("MIRZA_PARALLELISM")
-	if err == nil && n < 0 {
-		err = fmt.Errorf("MIRZA_PARALLELISM: worker count must be >= 0, got %d", n)
-	}
-	return n, err
 }
 
 // Quick shrinks o to smoke-run scale: tiny timing and calibration
@@ -210,7 +142,7 @@ func envParallelism() (int, error) {
 // knob Quick does not touch (seed, faults, parallelism, telemetry, ...)
 // carries over, so callers configure once and modify:
 //
-//	opts, err := experiments.DefaultOptions()
+//	opts := experiments.DefaultOptions()
 //	opts.Faults = plan
 //	opts = opts.Quick()
 func (o Options) Quick() Options {
@@ -240,12 +172,7 @@ func (o *Options) setDefaults() {
 		o.CalibrationWindow = dram.Millisecond
 	}
 	if o.Parallelism == 0 {
-		// A malformed value reads as unset here; DefaultOptions reports it.
-		if n, err := envParallelism(); err == nil && n > 0 {
-			o.Parallelism = n
-		} else {
-			o.Parallelism = runtime.GOMAXPROCS(0)
-		}
+		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -473,7 +400,7 @@ func (r *Runner) computeBaseline(name string) (*Baseline, error) {
 	for _, ipc := range b.IPCs {
 		instr += ipc
 	}
-	cycles := float64(b.Window) / 250 // 250ps CPU cycle
+	cycles := float64(b.Window) / float64(cpu.CycleTime)
 	totalInstr := instr * cycles
 	b.IPS = totalInstr / (float64(b.Window) / 1e12)
 	if totalInstr > 0 {
@@ -508,7 +435,7 @@ func (r *Runner) calibrateMLP(spec trace.WorkloadSpec) (int, error) {
 		}
 		var ips float64
 		for _, ipc := range sys.IPCs() {
-			ips += ipc * 4e9
+			ips += ipc * (1e12 / float64(cpu.CycleTime))
 		}
 		return ips, nil
 	}

@@ -1,7 +1,8 @@
 package experiments
 
 import (
-	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -18,6 +19,7 @@ func quickRunner() *Runner {
 		ReplayWindows:     2,
 		CalibrationWindow: 150 * dram.Microsecond,
 		Workloads:         []string{"xz"},
+		Parallelism:       4, // the parallel engine, even on a 1-CPU host
 	})
 }
 
@@ -164,58 +166,19 @@ func TestRenderAlignment(t *testing.T) {
 	}
 }
 
-// TestDefaultOptionsEnv: each MIRZA_* override is applied when well formed
-// and otherwise rejected with an error naming the variable, never
-// silently ignored or left to fail mid-run.
+// TestDefaultOptionsEnv: the environment configures nothing. With the
+// variables that once overrode the defaults set, DefaultOptions still
+// returns the documented full-fidelity settings, and a Runner still sizes
+// its engine to GOMAXPROCS.
 func TestDefaultOptionsEnv(t *testing.T) {
-	vars := []string{"MIRZA_MEASURE_MS", "MIRZA_WARMUP_MS", "MIRZA_REPLAY_WINDOWS", "MIRZA_WORKLOADS", "MIRZA_PARALLELISM"}
-	for _, tc := range []struct {
-		name, value string
-		bad         bool
-		check       func(Options) bool
-	}{
-		{"", "", false, func(o Options) bool {
-			return o.Measure == 3*dram.Millisecond/2 && o.Warmup == dram.Millisecond/2 &&
-				o.ReplayWindows == 2 && o.Workloads == nil && o.Parallelism == 0
-		}},
-		{"MIRZA_MEASURE_MS", "0.2", false, func(o Options) bool { return o.Measure == 200*dram.Microsecond }},
-		{"MIRZA_MEASURE_MS", "abc", true, nil},
-		{"MIRZA_MEASURE_MS", "0", false, func(o Options) bool { return o.Measure == 3*dram.Millisecond/2 }},
-		{"MIRZA_MEASURE_MS", "-1", true, nil},
-		{"MIRZA_MEASURE_MS", "NaN", true, nil},
-		{"MIRZA_MEASURE_MS", "+Inf", true, nil},
-		{"MIRZA_MEASURE_MS", "1e-12", true, nil},
-		{"MIRZA_WARMUP_MS", "0.1", false, func(o Options) bool { return o.Warmup == 100*dram.Microsecond }},
-		{"MIRZA_WARMUP_MS", "0", false, func(o Options) bool { return o.Warmup == dram.Millisecond/2 }},
-		{"MIRZA_WARMUP_MS", "-0.5", true, nil},
-		{"MIRZA_WARMUP_MS", "0.1ms", true, nil},
-		{"MIRZA_REPLAY_WINDOWS", "3", false, func(o Options) bool { return o.ReplayWindows == 3 }},
-		{"MIRZA_REPLAY_WINDOWS", "0", false, func(o Options) bool { return o.ReplayWindows == 2 }},
-		{"MIRZA_REPLAY_WINDOWS", "1", true, nil},
-		{"MIRZA_REPLAY_WINDOWS", "2.5", true, nil},
-		{"MIRZA_WORKLOADS", "xz,mcf", false, func(o Options) bool { return reflect.DeepEqual(o.Workloads, []string{"xz", "mcf"}) }},
-		{"MIRZA_WORKLOADS", "xz,,nosuch", true, nil},
-		{"MIRZA_WORKLOADS", "nosuch", true, nil},
-		{"MIRZA_PARALLELISM", "4", false, func(o Options) bool { return o.Parallelism == 4 }},
-		{"MIRZA_PARALLELISM", "-1", true, nil},
-		{"MIRZA_PARALLELISM", "four", true, nil},
-	} {
-		for _, v := range vars {
-			t.Setenv(v, "")
-		}
-		if tc.name != "" {
-			t.Setenv(tc.name, tc.value)
-		}
-		o, err := DefaultOptions()
-		switch {
-		case tc.bad && err == nil:
-			t.Errorf("%s=%q: accepted, want an error", tc.name, tc.value)
-		case tc.bad && !strings.Contains(err.Error(), tc.name):
-			t.Errorf("%s=%q: error %q does not name the variable", tc.name, tc.value, err)
-		case !tc.bad && err != nil:
-			t.Errorf("%s=%q: %v", tc.name, tc.value, err)
-		case !tc.bad && !tc.check(o):
-			t.Errorf("%s=%q: got %+v", tc.name, tc.value, o)
-		}
+	t.Setenv("MIRZA_MEASURE_MS", "0.2")
+	t.Setenv("MIRZA_PARALLELISM", strconv.Itoa(runtime.GOMAXPROCS(0)+1))
+	o := DefaultOptions()
+	if o.Measure != 3*dram.Millisecond/2 || o.Warmup != dram.Millisecond/2 ||
+		o.ReplayWindows != 2 || o.Workloads != nil || o.Parallelism != 0 {
+		t.Errorf("DefaultOptions = %+v", o)
+	}
+	if got, want := NewRunner(o).opts.Parallelism, runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("Runner parallelism %d, want GOMAXPROCS %d", got, want)
 	}
 }

@@ -55,14 +55,11 @@ func (r Result) Failed() bool { return r.Err != nil }
 // matches at either layer.
 var ErrTimeout = jobs.ErrTimeout
 
-// SuiteConfig tunes the hardened runner.
+// SuiteConfig tunes the hardened runner. The per-job deadline is
+// Options.JobTimeout, enforced inside the job pool: a stuck simulation is
+// abandoned and only its job fails, scaling naturally with
+// Options.Parallelism instead of racing one shared per-experiment clock.
 type SuiteConfig struct {
-	// Timeout is the wall-clock deadline per engine job (0 = none). It is
-	// enforced inside the job pool: a stuck simulation is abandoned and
-	// only its job fails, scaling naturally with Options.Parallelism
-	// instead of racing one shared per-experiment clock.
-	Timeout time.Duration
-
 	// NoRetry disables the reduced-fidelity retry after a failed attempt.
 	NoRetry bool
 
@@ -81,14 +78,10 @@ type Suite struct {
 	runner *Runner
 }
 
-// NewSuite builds a hardened runner over opts. The suite deadline is
-// plumbed into the job engine as Options.JobTimeout.
+// NewSuite builds a hardened runner over opts.
 func NewSuite(opts Options, cfg SuiteConfig) *Suite {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
-	}
-	if cfg.Timeout > 0 {
-		opts.JobTimeout = cfg.Timeout
 	}
 	return &Suite{opts: opts, cfg: cfg}
 }
@@ -195,7 +188,7 @@ type attemptOutcome struct {
 
 // attempt runs the experiment once, converting a panic into an error with
 // a stack trace. Deadlines are enforced per job inside the engine (see
-// SuiteConfig.Timeout); a timed-out job surfaces here as an ordinary
+// Options.JobTimeout); a timed-out job surfaces here as an ordinary
 // experiment error wrapping ErrTimeout. The recover backstops panics in
 // enumeration/aggregation code — panics inside jobs are already converted
 // by the pool.

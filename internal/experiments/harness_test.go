@@ -26,6 +26,7 @@ func quickOpts() Options {
 		ReplayWindows:     2,
 		CalibrationWindow: 150 * dram.Microsecond,
 		Workloads:         []string{"xz"},
+		Parallelism:       4, // the parallel engine, even on a 1-CPU host
 	}
 }
 
@@ -117,9 +118,11 @@ func TestHarnessReplayGeneratorPanic(t *testing.T) {
 }
 
 func TestHarnessTimeout(t *testing.T) {
-	// The suite deadline is enforced per engine job: a stuck simulation
-	// job is abandoned and its experiment fails with ErrTimeout.
-	s := NewSuite(quickOpts(), SuiteConfig{Timeout: 30 * time.Millisecond, NoRetry: true})
+	// The deadline is enforced per engine job: a stuck simulation job is
+	// abandoned and its experiment fails with ErrTimeout.
+	opts := quickOpts()
+	opts.JobTimeout = 30 * time.Millisecond
+	s := NewSuite(opts, SuiteConfig{NoRetry: true})
 	res := s.Run(context.Background(), Experiment{
 		ID: "slow",
 		Run: func(r *Runner) (*Table, error) {

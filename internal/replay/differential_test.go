@@ -17,7 +17,6 @@ import (
 // generator inline, one op at a time, on the caller's goroutine. It exists
 // only in tests, the way mem.LegacySubChannel does for the command path.
 type refRunner struct {
-	cfg    Config
 	dec    dram.Decoder
 	gens   []trace.Generator
 	mapper *vmap.Mapper
@@ -39,11 +38,8 @@ type refRunner struct {
 
 // newRefRunner mirrors NewRunner for an already valid cfg, gens and mits.
 func newRefRunner(cfg Config, gens []trace.Generator, mits []track.Mitigator) *refRunner {
-	if err := cfg.setDefaults(); err != nil {
-		panic(err)
-	}
 	if mits == nil {
-		mits = make([]track.Mitigator, cfg.Geometry.SubChannels)
+		mits = make([]track.Mitigator, geometry.SubChannels)
 	}
 	asids := cfg.ASIDs
 	if asids == nil {
@@ -53,27 +49,26 @@ func newRefRunner(cfg Config, gens []trace.Generator, mits []track.Mitigator) *r
 		}
 	}
 	r := &refRunner{
-		cfg:       cfg,
-		dec:       cfg.Geometry.Decoder(dram.MOP4Mapping),
+		dec:       geometry.Decoder(dram.MOP4Mapping),
 		gens:      gens,
-		mapper:    vmap.NewMapper(cfg.Geometry.CapacityBytes()),
+		mapper:    vmap.NewMapper(geometry.CapacityBytes()),
 		mits:      mits,
 		asids:     asids,
 		coreInstr: make([]float64, len(gens)),
 		coreAt:    make([]dram.Time, len(gens)),
 		coreOp:    make([]trace.Op, len(gens)),
 		perCore:   cfg.IPS / float64(len(gens)),
-		refDue:    make([]dram.Time, cfg.Geometry.SubChannels),
-		refIdx:    make([]int, cfg.Geometry.SubChannels),
-		stats:     make([]Stats, cfg.Geometry.SubChannels),
+		refDue:    make([]dram.Time, geometry.SubChannels),
+		refIdx:    make([]int, geometry.SubChannels),
+		stats:     make([]Stats, geometry.SubChannels),
 	}
-	r.banks = make([][]bankRow, cfg.Geometry.SubChannels)
+	r.banks = make([][]bankRow, geometry.SubChannels)
 	for sub := range r.banks {
-		r.banks[sub] = make([]bankRow, cfg.Geometry.BanksPerSubChannel)
+		r.banks[sub] = make([]bankRow, geometry.BanksPerSubChannel)
 		for b := range r.banks[sub] {
 			r.banks[sub][b].row = -1
 		}
-		r.refDue[sub] = cfg.Timing.TREFI
+		r.refDue[sub] = tREFI
 	}
 	for c := range gens {
 		if fp, ok := gens[c].(interface{ FootprintBytes() uint64 }); ok {
@@ -118,7 +113,7 @@ func (r *refRunner) Run(until dram.Time, obs Observer) {
 		st.Accesses++
 
 		bk := &r.banks[addr.SubChannel][addr.Bank]
-		isACT := bk.row != addr.Row || tc-bk.lastAt > r.cfg.RowOpenWindow
+		isACT := bk.row != addr.Row || tc-bk.lastAt > rowOpenWindow
 		bk.row, bk.lastAt = addr.Row, tc
 		if isACT {
 			st.ACTs++
@@ -148,7 +143,7 @@ func (r *refRunner) fireREFs(upTo dram.Time) {
 				mit.OnREF(r.refIdx[sub], r.refDue[sub])
 			}
 			r.refIdx[sub]++
-			r.refDue[sub] += r.cfg.Timing.TREFI
+			r.refDue[sub] += tREFI
 		}
 	}
 }

@@ -24,40 +24,26 @@ import (
 	"mirza/internal/vmap"
 )
 
+// The replay walks the dram.Default() geometry under dram.DDR5() timing.
+var (
+	geometry = dram.Default()
+	tREFI    = dram.DDR5().TREFI
+)
+
+// rowOpenWindow is the open-row coalescing window: an access to the row
+// most recently opened in its bank within this window is treated as a row
+// hit rather than a new activation. Calibrated against the timing
+// simulator's ACT rates.
+const rowOpenWindow = 150 * dram.Nanosecond
+
 // Config parameterizes a replay run.
 type Config struct {
-	Geometry dram.Geometry
-	Timing   dram.Timing
 	// IPS is the aggregate instruction rate of all cores (from a timing
 	// calibration run); it sets the replay's time axis.
 	IPS float64
-	// RowOpenWindow is the open-row coalescing window: an access to the
-	// row most recently opened in its bank within this window is treated
-	// as a row hit rather than a new activation. Default 150ns,
-	// calibrated against the timing simulator's ACT rates.
-	RowOpenWindow dram.Time
 	// ASIDs assigns each core an address space (see cpu.SystemConfig).
 	// Nil defaults to one private space per core.
 	ASIDs []int
-}
-
-func (c *Config) setDefaults() error {
-	if c.Geometry.SubChannels == 0 {
-		c.Geometry = dram.Default()
-	}
-	if c.Timing.TRC == 0 {
-		c.Timing = dram.DDR5()
-	}
-	if c.RowOpenWindow == 0 {
-		c.RowOpenWindow = 150 * dram.Nanosecond
-	}
-	if c.RowOpenWindow < 0 {
-		return fmt.Errorf("replay: RowOpenWindow must not be negative, got %v", c.RowOpenWindow)
-	}
-	if !(c.IPS > 0) || math.IsInf(c.IPS, 1) {
-		return fmt.Errorf("replay: IPS must be positive and finite, got %v", c.IPS)
-	}
-	return c.Geometry.Validate()
 }
 
 // Stats accumulates replay counters per sub-channel.
@@ -78,7 +64,6 @@ type bankRow struct {
 
 // Runner replays workload activation streams into mitigators.
 type Runner struct {
-	cfg    Config
 	dec    dram.Decoder
 	mapper *vmap.Mapper
 	mits   []track.Mitigator
@@ -104,8 +89,8 @@ type Runner struct {
 // goroutine of its own, so a generator may not be shared between cores or
 // Runners, nor used by the caller after it is handed over.
 func NewRunner(cfg Config, gens []trace.Generator, mits []track.Mitigator) (*Runner, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
+	if !(cfg.IPS > 0) || math.IsInf(cfg.IPS, 1) {
+		return nil, fmt.Errorf("replay: IPS must be positive and finite, got %v", cfg.IPS)
 	}
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("replay: need at least one generator")
@@ -125,10 +110,10 @@ func NewRunner(cfg Config, gens []trace.Generator, mits []track.Mitigator) (*Run
 		return nil, fmt.Errorf("replay: IPS %v over %d cores is too high: one instruction takes %v ps", cfg.IPS, len(gens), step)
 	}
 	if mits == nil {
-		mits = make([]track.Mitigator, cfg.Geometry.SubChannels)
+		mits = make([]track.Mitigator, geometry.SubChannels)
 	}
-	if len(mits) != cfg.Geometry.SubChannels {
-		return nil, fmt.Errorf("replay: %d mitigators for %d sub-channels", len(mits), cfg.Geometry.SubChannels)
+	if len(mits) != geometry.SubChannels {
+		return nil, fmt.Errorf("replay: %d mitigators for %d sub-channels", len(mits), geometry.SubChannels)
 	}
 	asids := cfg.ASIDs
 	if asids == nil {
@@ -146,25 +131,24 @@ func NewRunner(cfg Config, gens []trace.Generator, mits []track.Mitigator) (*Run
 		}
 	}
 	r := &Runner{
-		cfg:      cfg,
-		dec:      cfg.Geometry.Decoder(dram.MOP4Mapping),
-		mapper:   vmap.NewMapper(cfg.Geometry.CapacityBytes()),
+		dec:      geometry.Decoder(dram.MOP4Mapping),
+		mapper:   vmap.NewMapper(geometry.CapacityBytes()),
 		mits:     mits,
 		asids:    asids,
 		coreKey:  make([]uint64, len(gens)),
 		coreLine: make([]uint64, len(gens)),
-		refDue:   make([]dram.Time, cfg.Geometry.SubChannels),
-		refIdx:   make([]int, cfg.Geometry.SubChannels),
-		refNext:  cfg.Timing.TREFI,
-		stats:    make([]Stats, cfg.Geometry.SubChannels),
+		refDue:   make([]dram.Time, geometry.SubChannels),
+		refIdx:   make([]int, geometry.SubChannels),
+		refNext:  tREFI,
+		stats:    make([]Stats, geometry.SubChannels),
 	}
-	r.banks = make([][]bankRow, cfg.Geometry.SubChannels)
+	r.banks = make([][]bankRow, geometry.SubChannels)
 	for sub := range r.banks {
-		r.banks[sub] = make([]bankRow, cfg.Geometry.BanksPerSubChannel)
+		r.banks[sub] = make([]bankRow, geometry.BanksPerSubChannel)
 		for b := range r.banks[sub] {
 			r.banks[sub][b].row = -1
 		}
-		r.refDue[sub] = cfg.Timing.TREFI
+		r.refDue[sub] = tREFI
 	}
 	for c := range gens {
 		// Model the init-phase sequential faulting (see cpu.System).
@@ -229,7 +213,7 @@ func (r *Runner) Run(until dram.Time, obs Observer) {
 		st.Accesses++
 
 		bk := &r.banks[addr.SubChannel][addr.Bank]
-		isACT := bk.row != addr.Row || tc-bk.lastAt > r.cfg.RowOpenWindow
+		isACT := bk.row != addr.Row || tc-bk.lastAt > rowOpenWindow
 		bk.row, bk.lastAt = addr.Row, tc
 		if isACT {
 			st.ACTs++
@@ -262,7 +246,7 @@ func (r *Runner) fireREFs(upTo dram.Time) {
 				mit.OnREF(r.refIdx[sub], r.refDue[sub]) // 0-based
 			}
 			r.refIdx[sub]++
-			r.refDue[sub] += r.cfg.Timing.TREFI
+			r.refDue[sub] += tREFI
 		}
 		next = min(next, r.refDue[sub])
 	}

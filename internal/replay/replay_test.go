@@ -127,9 +127,7 @@ func TestReplayValidation(t *testing.T) {
 		{"-Inf IPS", Config{IPS: math.Inf(-1)}, 2, false},
 		{"IPS too low to represent one instruction", Config{IPS: 1e-300}, 2, false},
 		{"one instruction past 2^63 ps", Config{IPS: 2e-7}, 2, false},
-		{"negative row-open window", Config{IPS: 1e9, RowOpenWindow: -1}, 2, false},
 		{"slow but representable IPS", Config{IPS: 1}, 2, true},
-		{"explicit row-open window", Config{IPS: 1e9, RowOpenWindow: dram.Nanosecond}, 2, true},
 		// One instruction per core must take at least one picosecond, or
 		// the core clocks never advance.
 		{"one instruction in exactly 1 ps", Config{IPS: 8e12}, 8, true},

@@ -84,10 +84,7 @@ func (b *ExperimentsBackend) Prepare(req *Request) (*Prepared, error) {
 		return nil, fmt.Errorf("timeout_ms must be >= 0")
 	}
 
-	opts, err := experiments.DefaultOptions()
-	if err != nil {
-		return nil, err
-	}
+	opts := experiments.DefaultOptions()
 	if req.Quick {
 		opts = opts.Quick()
 	}
@@ -200,8 +197,8 @@ func (b *ExperimentsBackend) Run(ctx context.Context, p *Prepared) *Outcome {
 	reg := telemetry.New()
 	opts := pe.opts
 	opts.Telemetry = reg
+	opts.JobTimeout = b.EngineTimeout
 	suite := experiments.NewSuite(opts, experiments.SuiteConfig{
-		Timeout: b.EngineTimeout,
 		NoRetry: p.Req.NoRetry,
 		Logf:    b.Logf,
 	})

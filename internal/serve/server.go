@@ -51,11 +51,6 @@ type Config struct {
 	DefaultJobTimeout time.Duration
 	MaxJobTimeout     time.Duration
 
-	// WaitBudget bounds one ?wait=1 long-poll (default 5m). A wait that
-	// exceeds it returns 202 with the job still running; the client polls
-	// again. It must stay below the HTTP server's write timeout.
-	WaitBudget time.Duration
-
 	// DrainBudget is how long Drain lets queued + in-flight work finish
 	// before canceling it (default 30s).
 	DrainBudget time.Duration
@@ -88,9 +83,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.MaxJobTimeout <= 0 {
 		c.MaxJobTimeout = 30 * time.Minute
-	}
-	if c.WaitBudget <= 0 {
-		c.WaitBudget = 5 * time.Minute
 	}
 	if c.DrainBudget <= 0 {
 		c.DrainBudget = 30 * time.Second
@@ -347,7 +339,11 @@ func (s *Server) newRecLocked(prep *Prepared) *jobRec {
 	s.seq++
 	timeout := s.cfg.DefaultJobTimeout
 	if ms := prep.Req.TimeoutMS; ms > 0 {
-		timeout = time.Duration(ms) * time.Millisecond
+		// Capped before the multiplication, which would overflow.
+		timeout = s.cfg.MaxJobTimeout
+		if ms <= int64(s.cfg.MaxJobTimeout/time.Millisecond) {
+			timeout = time.Duration(ms) * time.Millisecond
+		}
 	}
 	if timeout > s.cfg.MaxJobTimeout {
 		timeout = s.cfg.MaxJobTimeout
@@ -676,11 +672,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.waitJob(w, r, rec, decorate)
 }
 
-// waitJob blocks until rec finishes, the client disconnects, or the wait
-// budget expires. The caller must already hold a waiter registration on
+// waitBudget bounds one ?wait=1 long-poll. A wait that exceeds it returns
+// 202 with the job still running; the client polls again. It stays below
+// httpWriteTimeout.
+const waitBudget = 5 * time.Minute
+
+// waitJob blocks until rec finishes, the client disconnects, or waitBudget
+// expires. The caller must already hold a waiter registration on
 // rec; waitJob releases it on every path.
 func (s *Server) waitJob(w http.ResponseWriter, r *http.Request, rec *jobRec, decorate func(*Status)) {
-	timer := time.NewTimer(s.cfg.WaitBudget)
+	timer := time.NewTimer(waitBudget)
 	defer timer.Stop()
 	select {
 	case <-rec.done:

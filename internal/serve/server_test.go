@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -521,6 +522,32 @@ func TestRetentionEvictsOldRecords(t *testing.T) {
 	}
 	if code, _, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/j3", ""); code != http.StatusOK {
 		t.Errorf("recent record evicted too early: code %d", code)
+	}
+}
+
+// TestJobTimeoutIsCapped: timeout_ms selects the job deadline up to
+// MaxJobTimeout, and a value whose millisecond product overflows
+// time.Duration is capped too instead of wrapping.
+func TestJobTimeoutIsCapped(t *testing.T) {
+	s, _ := newTestServer(t, Config{DefaultJobTimeout: time.Minute, MaxJobTimeout: time.Hour}, newFakeBackend())
+	for _, tc := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, time.Minute},
+		{1500, 1500 * time.Millisecond},
+		{3600000, time.Hour},
+		{3600001, time.Hour},
+		{9223372036854776, time.Hour},  // the product wraps to 192 µs
+		{12000000000000000, time.Hour}, // the product wraps negative
+		{math.MaxInt64, time.Hour},
+	} {
+		s.mu.Lock()
+		rec := s.newRecLocked(&Prepared{Req: &Request{TimeoutMS: tc.ms}})
+		s.mu.Unlock()
+		if rec.timeout != tc.want {
+			t.Errorf("timeout_ms %d: deadline %v, want %v", tc.ms, rec.timeout, tc.want)
+		}
 	}
 }
 

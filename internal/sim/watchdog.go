@@ -16,7 +16,7 @@ import (
 // cycle that re-arms itself at now+1ps forever — which would otherwise
 // hang a run silently.
 //
-// A Watchdog is attached to a single RunUntilWatched call; reuse across
+// A Watchdog is attached to a single RunUntilCtx call; reuse across
 // calls is fine (it keeps no state between calls). The zero value with a
 // positive Budget is ready to use.
 type Watchdog struct {
@@ -86,25 +86,20 @@ func (e *StallError) Error() string {
 	return sb.String()
 }
 
-// RunUntilWatched is RunUntil under watchdog supervision: it executes
-// events until the clock would pass deadline or the queue empties, but
-// aborts with a *StallError if the simulated clock stops advancing (by at
-// least w.MinAdvance) for longer than w.Budget of wall-clock time. A nil
-// watchdog or a non-positive budget degrades to plain RunUntil.
+// RunUntilCtx is RunUntil under watchdog supervision and cooperative
+// cancellation. It executes events until the clock would pass deadline or
+// the queue empties, but aborts with a *StallError if the simulated clock
+// stops advancing (by at least w.MinAdvance) for longer than w.Budget of
+// wall-clock time. A nil watchdog or a non-positive budget disables that
+// check. On abort the kernel is left mid-run (clock at the stall point,
+// pending events still queued) so the caller can inspect it; it must not
+// be resumed.
 //
-// On abort the kernel is left mid-run (clock at the stall point, pending
-// events still queued) so the caller can inspect it; it must not be
-// resumed.
-func (k *Kernel) RunUntilWatched(deadline dram.Time, w *Watchdog) error {
-	return k.RunUntilCtx(context.Background(), deadline, w)
-}
-
-// RunUntilCtx is RunUntilWatched with cooperative cancellation: ctx is
-// sampled between event batches (every CheckEvery events, the same cadence
-// as watchdog progress checks), so a cancelled or deadline-blown context
-// stops the simulation mid-run instead of only at run boundaries. The
-// kernel is left resumable at the point of cancellation (clock and queue
-// intact); the returned error is ctx.Err().
+// ctx is sampled between event batches (every CheckEvery events, the same
+// cadence as watchdog progress checks), so a cancelled or deadline-blown
+// context stops the simulation mid-run instead of only at run boundaries.
+// The kernel is left resumable at the point of cancellation (clock and
+// queue intact); the returned error is ctx.Err().
 //
 // With a Background context and no armed watchdog this is plain RunUntil:
 // the per-event hot path never touches the context.

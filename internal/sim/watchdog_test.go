@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func TestWatchdogAbortsLivelock(t *testing.T) {
 
 	clock := &fakeClock{now: time.Unix(0, 0), step: 50 * time.Millisecond}
 	w := &Watchdog{Budget: time.Second, CheckEvery: 4, clock: clock.Now}
-	err := k.RunUntilWatched(dram.Millisecond, w)
+	err := k.RunUntilCtx(context.Background(), dram.Millisecond, w)
 	if err == nil {
 		t.Fatal("livelocked run must be aborted")
 	}
@@ -64,7 +65,7 @@ func TestWatchdogAbortsZeroAdvanceLoop(t *testing.T) {
 
 	clock := &fakeClock{now: time.Unix(0, 0), step: 100 * time.Millisecond}
 	w := &Watchdog{Budget: time.Second, CheckEvery: 8, clock: clock.Now}
-	if err := k.RunUntilWatched(dram.Microsecond, w); err == nil {
+	if err := k.RunUntilCtx(context.Background(), dram.Microsecond, w); err == nil {
 		t.Fatal("zero-advance loop must be aborted")
 	}
 	if k.Now() != 5*dram.Nanosecond {
@@ -86,7 +87,7 @@ func TestWatchdogPassesHealthyRun(t *testing.T) {
 	// time advances healthily, so progress resets the allowance.
 	clock := &fakeClock{now: time.Unix(0, 0), step: 10 * time.Second}
 	w := &Watchdog{Budget: time.Second, CheckEvery: 2, clock: clock.Now}
-	if err := k.RunUntilWatched(dram.Microsecond, w); err != nil {
+	if err := k.RunUntilCtx(context.Background(), dram.Microsecond, w); err != nil {
 		t.Fatalf("healthy run aborted: %v", err)
 	}
 	if k.Now() != dram.Microsecond {
@@ -101,7 +102,7 @@ func TestWatchdogDisabled(t *testing.T) {
 	var k Kernel
 	fired := false
 	scheduleFunc(&k, 10, func() { fired = true })
-	if err := k.RunUntilWatched(100, nil); err != nil {
+	if err := k.RunUntilCtx(context.Background(), 100, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !fired || k.Now() != 100 {
@@ -109,7 +110,7 @@ func TestWatchdogDisabled(t *testing.T) {
 	}
 	var k2 Kernel
 	scheduleFunc(&k2, 10, func() {})
-	if err := k2.RunUntilWatched(100, &Watchdog{}); err != nil {
+	if err := k2.RunUntilCtx(context.Background(), 100, &Watchdog{}); err != nil {
 		t.Fatal(err)
 	}
 }

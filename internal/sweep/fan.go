@@ -21,10 +21,6 @@ type FanConfig struct {
 	// monopolizing it, and shed shards back off instead of thundering.
 	MaxInFlight int
 
-	// ShedRetries is how many times a shed shard is resubmitted with
-	// backoff before it is reported failed (default 8).
-	ShedRetries int
-
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -32,9 +28,6 @@ type FanConfig struct {
 func (c *FanConfig) setDefaults() {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 4
-	}
-	if c.ShedRetries <= 0 {
-		c.ShedRetries = 8
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -162,6 +155,10 @@ func FanHandler(srv *serve.Server, cfg FanConfig) http.Handler {
 	})
 }
 
+// shedRetries is how many times a shed shard is resubmitted with backoff
+// before it is reported failed.
+const shedRetries = 8
+
 // runFanned submits one shard and waits for its outcome, with backoff
 // on shed.
 func runFanned(ctx context.Context, srv *serve.Server, cfg FanConfig, sh Shard, prep *serve.Prepared) fanShardDoc {
@@ -174,7 +171,7 @@ func runFanned(ctx context.Context, srv *serve.Server, cfg FanConfig, sh Shard, 
 		if err == nil {
 			break
 		}
-		if errors.Is(err, serve.ErrShed) && attempt < cfg.ShedRetries && ctx.Err() == nil {
+		if errors.Is(err, serve.ErrShed) && attempt < shedRetries && ctx.Err() == nil {
 			select {
 			case <-time.After(backoff):
 			case <-ctx.Done():
