@@ -59,6 +59,10 @@ var goldenCases = []goldenCase{
 	// the timing side reads.
 	{"table9", "table9", []string{"xz"}, nil, ""},
 	{"fig11a", "fig11a", []string{"xz"}, nil, ""},
+	// Derived experiments: their numbers are other experiments' cells.
+	{"table13", "table13", []string{"xz"}, nil, ""},
+	{"fig6", "fig6", []string{"xz"}, nil, ""},
+	{"fig1c", "fig1c", []string{"xz"}, nil, ""},
 	// The three per-row counting trackers under bit flips: the log holds
 	// flips of PRAC's and the oracle's counters (MoPAC's are not exposed
 	// to fault injection).
