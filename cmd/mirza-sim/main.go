@@ -108,6 +108,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(2, err)
 	}
+	names, err := cliflags.Workloads("-workload", *workload)
+	if err != nil {
+		return fail(2, err)
+	}
 
 	built, err := mit.Build()
 	if err != nil {
@@ -187,12 +191,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		spec := shared.Tenants
 		add(spec, func() (input, error) { return tenantsInput(spec, mit.Seed()) })
 	default:
-		var names []string
-		for _, n := range strings.Split(*workload, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
 		if len(names) == 0 {
 			return fail(1, fmt.Errorf("no workload named"))
 		}

@@ -91,10 +91,12 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-warmup-ms", "-1"}, "-warmup-ms"},
 		{[]string{"-warmup-ms", "NaN"}, "-warmup-ms"},
 		{[]string{"-no-such-flag"}, "no-such-flag"},
+		{[]string{"-workload", "xz,,"}, `unknown workload ""`},
+		{[]string{"-workload", "xz,nosuch"}, `unknown workload "nosuch"`},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
-		code := run(append(tc.args, "-workload", "xz"), &stdout, &stderr)
+		code := run(append([]string{"-workload", "xz"}, tc.args...), &stdout, &stderr)
 		if code != 2 {
 			t.Errorf("%v: exit %d, want 2 (stderr %q)", tc.args, code, stderr.String())
 		}

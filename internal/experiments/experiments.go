@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -197,19 +198,19 @@ func (o *Options) workloadSpecs() ([]trace.WorkloadSpec, error) {
 
 // Runner holds the state shared by every job of every experiment in one
 // process: the options, the single-flight per-workload calibration layer
-// (baselines and MLP budgets), and the merged fault log. All exported
-// methods are safe for concurrent use by parallel jobs.
+// (baselines and MLP budgets), the finished tables, and the merged fault
+// log. All exported methods are safe for concurrent use by parallel jobs.
 type Runner struct {
 	opts Options
 
-	// mu guards the calibration maps. Baseline computation itself runs
-	// outside the lock under a per-workload once, so two jobs needing the
-	// same workload baseline block on one computation instead of running
-	// it twice (single-flight).
+	// mu guards the memo maps. Baseline computation itself runs outside
+	// the lock under a per-workload once, so two jobs needing the same
+	// workload baseline block on one computation instead of running it
+	// twice (single-flight).
 	mu           sync.Mutex
 	baselines    map[string]*flight[*Baseline]
-	calibrations map[string]int // times each workload's baseline was computed
-	actsPerSA    map[string]*flight[actsStats]
+	calibrations map[string]int             // times each workload's baseline was computed
+	tables       map[string]*flight[*Table] // finished experiments by ID
 
 	// faultLog is the merged log of faults injected under opts.Faults:
 	// per-job logs folded in deterministic job-submission order.
@@ -226,8 +227,8 @@ type Runner struct {
 	runCtx context.Context
 }
 
-// flight is the single-flight slot for one workload's value in one of the
-// Runner's calibration maps.
+// flight is the single-flight slot for one value in one of the Runner's
+// memo maps.
 type flight[T any] struct {
 	once sync.Once
 	v    T
@@ -255,8 +256,8 @@ func NewRunner(opts Options) *Runner {
 	return &Runner{
 		opts:         opts,
 		baselines:    make(map[string]*flight[*Baseline]),
-		actsPerSA:    make(map[string]*flight[actsStats]),
 		calibrations: make(map[string]int),
+		tables:       make(map[string]*flight[*Table]),
 		faultLog:     fault.NewLog(),
 		pool: jobs.NewPool(jobs.Options{
 			Parallelism: opts.Parallelism,
@@ -264,6 +265,15 @@ func NewRunner(opts Options) *Runner {
 			Telemetry:   opts.Telemetry,
 		}),
 	}
+}
+
+// table returns experiment id's table, running run on first use, single-
+// flight like Runner.Baseline. Suite attempts and derived experiments
+// both come through here, so once an experiment has run, asking for it
+// again runs no job. A failure stays with the ID; the Suite discards a
+// Runner after any failed attempt.
+func (r *Runner) table(id string, run func(*Runner) (*Table, error)) (*Table, error) {
+	return singleFlight(r, r.tables, id, func() (*Table, error) { return run(r) })
 }
 
 // Options returns the runner's effective options.
@@ -783,6 +793,21 @@ type Table struct {
 // AddRow appends a formatted row.
 func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
+}
+
+// Cell returns the cell in column col of the first row whose first cell
+// is row.
+func (t *Table) Cell(row, col string) (string, error) {
+	c := slices.Index(t.Columns, col)
+	if c < 0 {
+		return "", fmt.Errorf("experiments: %s has no column %q", t.ID, col)
+	}
+	for _, cells := range t.Rows {
+		if len(cells) > c && cells[0] == row {
+			return cells[c], nil
+		}
+	}
+	return "", fmt.Errorf("experiments: %s has no row %q", t.ID, row)
 }
 
 func f1(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) }

@@ -186,9 +186,9 @@ type attemptOutcome struct {
 	busy     time.Duration
 }
 
-// attempt runs the experiment once, converting a panic into an error with
-// a stack trace. Deadlines are enforced per job inside the engine (see
-// Options.JobTimeout); a timed-out job surfaces here as an ordinary
+// attempt runs the experiment once through the Runner's table memo,
+// converting a panic into an error with a stack trace. Deadlines are
+// enforced per job inside the engine (see Options.JobTimeout); a timed-out job surfaces here as an ordinary
 // experiment error wrapping ErrTimeout. The recover backstops panics in
 // enumeration/aggregation code — panics inside jobs are already converted
 // by the pool.
@@ -206,7 +206,7 @@ func (s *Suite) attempt(ctx context.Context, exp Experiment, runner *Runner) (ou
 		j1, b1 := runner.JobStats()
 		out.jobs, out.busy = j1-j0, b1-b0
 	}()
-	t, err := exp.Run(runner)
+	t, err := runner.table(exp.ID, exp.Run)
 	if err != nil {
 		err = fmt.Errorf("experiment %s: %w", exp.ID, err)
 	}

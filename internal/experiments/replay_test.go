@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mirza/internal/core"
@@ -209,28 +211,61 @@ func TestFanOutCountOnly(t *testing.T) {
 	}
 }
 
-// TestActsPerSubarrayShared: Table 4 and Fig 6 read one unprotected pass
-// per workload from the Runner.
-func TestActsPerSubarrayShared(t *testing.T) {
+// TestDerivedTablesReadTheirSources: on one Suite, an experiment whose
+// numbers are another's runs no job once its source ran, and each of its
+// numbers is the source's cell.
+func TestDerivedTablesReadTheirSources(t *testing.T) {
 	if testing.Short() {
-		t.Skip("replays two refresh windows")
+		t.Skip("runs timing simulations and replays")
 	}
-	r := NewRunner(quickOpts())
-	if _, err := r.Table4(); err != nil {
-		t.Fatal(err)
+	s := NewSuite(quickOpts(), SuiteConfig{NoRetry: true})
+	tables := map[string]*Table{}
+	for _, res := range s.RunAll(context.Background(),
+		[]string{"fig3", "fig11a", "table13", "table4", "fig6", "table8", "fig1c"}) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		derived := res.ID == "table13" || res.ID == "fig6" || res.ID == "fig1c"
+		if derived != (res.Jobs == 0) {
+			t.Errorf("%s ran %d jobs", res.ID, res.Jobs)
+		}
+		tables[res.ID] = res.Table
 	}
-	e := r.actsPerSA["xz"]
-	if e == nil || len(r.actsPerSA) != 1 {
-		t.Fatalf("after table4: %d memo entries, xz's %v", len(r.actsPerSA), e)
+	cell := func(id, row, col string) string {
+		t.Helper()
+		c, err := tables[id].Cell(row, col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	tab, err := r.Fig6()
-	if err != nil {
-		t.Fatal(err)
+	same := func(what, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: %q, source cell %q", what, got, want)
+		}
 	}
-	if r.actsPerSA["xz"] != e || len(r.actsPerSA) != 1 {
-		t.Fatal("fig6 replaced or added a memo entry")
+	t13 := tables["table13"].Rows
+	for i, c := range []struct{ trhd, mirza string }{{"500", "MIRZA-500"}, {"1000", "MIRZA-1K"}, {"2000", "MIRZA-2K"}} {
+		same("table13 PRAC "+c.trhd, t13[3*i][3], cell("fig3", c.trhd, "PRAC slowdown"))
+		same("table13 MINT "+c.trhd, t13[3*i+1][3], cell("fig3", c.trhd, "MINT slowdown"))
+		same("table13 MIRZA "+c.trhd, t13[3*i+2][3], cell("fig11a", "Average", c.mirza))
 	}
-	if got, want := tab.Rows[0][1], f1(e.v.mean); got != want {
-		t.Errorf("fig6 xz reads %s, the shared pass %s", got, want)
+	for _, row := range []string{"xz", "Average"} {
+		same("fig6 "+row, cell("fig6", row, "ACTs/subarray/tREFW"), cell("table4", row, "ACT/SA mean"))
+	}
+	same("fig1c", cell("fig1c", "Mitigations vs MINT", "Value"), cell("table8", "1000", "Difference"))
+}
+
+func TestTableCell(t *testing.T) {
+	tab := &Table{ID: "t", Columns: []string{"k", "v"}, Rows: [][]string{{"a", "1"}, {"b", "2"}, {"b", "3"}}}
+	if c, err := tab.Cell("b", "v"); c != "2" || err != nil {
+		t.Errorf(`Cell("b", "v") = %q, %v; want the first b row's "2"`, c, err)
+	}
+	if _, err := tab.Cell("c", "v"); err == nil || !strings.Contains(err.Error(), `row "c"`) {
+		t.Errorf(`Cell("c", "v") error %v does not name the missing row`, err)
+	}
+	if _, err := tab.Cell("a", "w"); err == nil || !strings.Contains(err.Error(), `column "w"`) {
+		t.Errorf(`Cell("a", "w") error %v does not name the missing column`, err)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"mirza/internal/attack"
@@ -350,10 +351,15 @@ func (r *Runner) Table9() (*Table, error) {
 }
 
 // Table13 reproduces Table XIII (Appendix A): average and worst-case
-// (performance-attack) slowdown for PRAC, MINT+RFM and MIRZA. One job per
-// (TRHD, workload) running the three trackers back to back.
+// (performance-attack) slowdown for PRAC, MINT+RFM and MIRZA. As in the
+// paper, the averages are Fig 3's (PRAC+ABO, MINT+RFM) and Fig 11a's
+// Average row (MIRZA); this experiment runs no simulation of its own.
 func (r *Runner) Table13() (*Table, error) {
-	specs, err := r.opts.workloadSpecs()
+	fig3, err := r.table("fig3", (*Runner).Fig3)
+	if err != nil {
+		return nil, err
+	}
+	fig11a, err := r.table("fig11a", (*Runner).Fig11a)
 	if err != nil {
 		return nil, err
 	}
@@ -363,65 +369,30 @@ func (r *Runner) Table13() (*Table, error) {
 		Title:   "Average and worst-case slowdown (Appendix A)",
 		Columns: []string{"TRHD", "Tracker", "Perf-attack slowdown", "Average slowdown", "paper (atk/avg)"},
 	}
-	paper := map[string]string{
-		"500/PRAC": "1.2x/6.5%", "500/MINT": "1.4x/10.95%", "500/MIRZA": "2.25x/1.43%",
-		"1000/PRAC": "1.1x/6.5%", "1000/MINT": "1.2x/5.81%", "1000/MIRZA": "1.8x/0.36%",
-		"2000/PRAC": "1.05x/6.5%", "2000/MINT": "1.1x/3.08%", "2000/MIRZA": "1.6x/0.05%",
-	}
-	trhds := []int{500, 1000, 2000}
-	type cell struct{ prac, mint, mirza float64 }
-	cfgs, err := mirzaConfigs(trhds)
-	if err != nil {
-		return nil, err
-	}
-	var js []job[cell]
-	for ti, trhd := range trhds {
-		cfg := cfgs[ti]
-		for _, spec := range specs {
-			trhd, cfg, spec := trhd, cfg, spec
-			js = append(js, job[cell]{
-				id: fmt.Sprintf("table13/trhd=%d/%s", trhd, spec.Name),
-				run: func(x *Exec) (cell, error) {
-					x.r.opts.Logf("table13 %s TRHD=%d", spec.Name, trhd)
-					prac, err := x.runPRAC(spec.Name, trhd)
-					if err != nil {
-						return cell{}, err
-					}
-					mint, _, err := x.runMINTRFM(spec.Name, trhd)
-					if err != nil {
-						return cell{}, err
-					}
-					warmed, err := x.warmMirza(spec.Name, []core.Config{cfg})
-					if err != nil {
-						return cell{}, err
-					}
-					mirza, err := x.runMIRZA(spec.Name, warmed[0])
-					if err != nil {
-						return cell{}, err
-					}
-					return cell{prac, mint, mirza}, nil
-				},
-			})
+	for _, c := range []struct {
+		trhd  int
+		mirza string    // the Fig 11a column
+		paper [3]string // PRAC, MINT, MIRZA
+	}{
+		{500, "MIRZA-500", [3]string{"1.2x/6.5%", "1.4x/10.95%", "2.25x/1.43%"}},
+		{1000, "MIRZA-1K", [3]string{"1.1x/6.5%", "1.2x/5.81%", "1.8x/0.36%"}},
+		{2000, "MIRZA-2K", [3]string{"1.05x/6.5%", "1.1x/3.08%", "1.6x/0.05%"}},
+	} {
+		cfg, err := core.ForTRHD(c.trhd)
+		if err != nil {
+			return nil, err
 		}
-	}
-	cells, err := runJobs(r, js)
-	if err != nil {
-		return nil, err
-	}
-	for ti, trhd := range trhds {
-		var pracSum, mintSum, mirzaSum float64
-		for si := range specs {
-			c := cells[ti*len(specs)+si]
-			pracSum += c.prac
-			mintSum += c.mint
-			mirzaSum += c.mirza
+		trhd := d(int64(c.trhd))
+		prac, errP := fig3.Cell(trhd, "PRAC slowdown")
+		mint, errM := fig3.Cell(trhd, "MINT slowdown")
+		mirza, errZ := fig11a.Cell("Average", c.mirza)
+		if err := errors.Join(errP, errM, errZ); err != nil {
+			return nil, err
 		}
-		n := float64(len(specs))
-		pracAtk, mintAtk := attack.BaselineAttackSlowdowns(trhd)
-		key := fmt.Sprintf("%d/", trhd)
-		t.AddRow(d(int64(trhd)), "PRAC+ABO", fmt.Sprintf("%.2fx", pracAtk), f2(pracSum/n)+"%", paper[key+"PRAC"])
-		t.AddRow("", "MINT+RFM", fmt.Sprintf("%.2fx", mintAtk), f2(mintSum/n)+"%", paper[key+"MINT"])
-		t.AddRow("", "MIRZA", fmt.Sprintf("%.2fx", pm.Slowdown(cfgs[ti].MINTWindow)), f2(mirzaSum/n)+"%", paper[key+"MIRZA"])
+		pracAtk, mintAtk := attack.BaselineAttackSlowdowns(c.trhd)
+		t.AddRow(trhd, "PRAC+ABO", fmt.Sprintf("%.2fx", pracAtk), prac, c.paper[0])
+		t.AddRow("", "MINT+RFM", fmt.Sprintf("%.2fx", mintAtk), mint, c.paper[1])
+		t.AddRow("", "MIRZA", fmt.Sprintf("%.2fx", pm.Slowdown(cfg.MINTWindow)), mirza, c.paper[2])
 	}
 	return t, nil
 }

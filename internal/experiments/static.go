@@ -198,9 +198,14 @@ func (r *Runner) Table12() (*Table, error) {
 }
 
 // Fig1c summarizes the headline comparison of Figure 1(c): mitigation rate
-// vs MINT and area vs PRAC at TRHD=1K.
+// vs MINT and area vs PRAC at TRHD=1K. The mitigation reduction is Table
+// 8's TRHD=1000 Difference cell.
 func (r *Runner) Fig1c() (*Table, error) {
-	t8, err := r.Table8()
+	t8, err := r.table("table8", (*Runner).Table8)
+	if err != nil {
+		return nil, err
+	}
+	fewer, err := t8.Cell("1000", "Difference")
 	if err != nil {
 		return nil, err
 	}
@@ -209,12 +214,7 @@ func (r *Runner) Fig1c() (*Table, error) {
 		Title:   "MIRZA headline comparison (TRHD=1K)",
 		Columns: []string{"Metric", "Value", "Paper"},
 	}
-	// Mitigation reduction is the TRHD=1000 row of Table VIII.
-	for _, row := range t8.Rows {
-		if row[0] == "1000" {
-			t.AddRow("Mitigations vs MINT", row[4], "28.5x fewer")
-		}
-	}
+	t.AddRow("Mitigations vs MINT", fewer, "28.5x fewer")
 	cfg, _ := core.ForTRHD(1000)
 	bits := areamodel.CounterBits(cfg.FTH + 1)
 	cmp := areamodel.CompareSubarray(1000, bits, dram.Default().SubarrayRows)

@@ -25,19 +25,16 @@ func (r *Runner) Table4() (*Table, error) {
 			"ACT/SA mean", "ACT/SA sigma", "paper mean+/-sigma"},
 	}
 	type cell struct {
-		base *Baseline
-		acts actsStats
+		base       *Baseline
+		mean, sdev float64
 	}
 	cells, err := runJobs(r, workloadJobs("table4", specs, func(x *Exec, name string) (cell, error) {
 		base, err := x.r.Baseline(name)
 		if err != nil {
 			return cell{}, err
 		}
-		acts, err := x.actsPerSubarray(name)
-		if err != nil {
-			return cell{}, err
-		}
-		return cell{base, acts}, nil
+		mean, sdev, err := x.actsPerSubarray(name)
+		return cell{base, mean, sdev}, err
 	}))
 	if err != nil {
 		return nil, err
@@ -46,13 +43,13 @@ func (r *Runner) Table4() (*Table, error) {
 	for i, spec := range specs {
 		c := cells[i]
 		t.AddRow(spec.Name, f1(c.base.MPKI), f1(c.base.ACTPKI), f1(c.base.BusUtil),
-			f1(c.acts.mean), f1(c.acts.sdev),
+			f1(c.mean), f1(c.sdev),
 			fmt.Sprintf("%.0f +/- %.0f", spec.ActSAMean, spec.ActSASdev))
 		avgMPKI += c.base.MPKI
 		avgACT += c.base.ACTPKI
 		avgBus += c.base.BusUtil
-		avgMean += c.acts.mean
-		avgSdev += c.acts.sdev
+		avgMean += c.mean
+		avgSdev += c.sdev
 	}
 	n := float64(len(specs))
 	t.AddRow("Average", f1(avgMPKI/n), f1(avgACT/n), f1(avgBus/n),
@@ -61,20 +58,10 @@ func (r *Runner) Table4() (*Table, error) {
 	return t, nil
 }
 
-// actsStats is the mean and standard deviation of activations per
-// subarray per tREFW.
-type actsStats struct{ mean, sdev float64 }
-
 // actsPerSubarray returns the mean and standard deviation of activations
 // per subarray per tREFW (strided R2SA), averaged over banks, from one
-// unprotected measured pass per workload that Table 4 and Fig 6 share,
-// single-flight like Runner.Baseline.
-func (x *Exec) actsPerSubarray(name string) (actsStats, error) {
-	return singleFlight(x.r, x.r.actsPerSA, name, func() (actsStats, error) { return x.replayActsPerSubarray(name) })
-}
-
-// replayActsPerSubarray is actsPerSubarray's uncached pass.
-func (x *Exec) replayActsPerSubarray(name string) (actsStats, error) {
+// unprotected measured pass.
+func (x *Exec) actsPerSubarray(name string) (mean, sdev float64, err error) {
 	g := dram.Default()
 	counts := make([][]int64, g.SubChannels*g.BanksPerSubChannel)
 	for i := range counts {
@@ -83,7 +70,7 @@ func (x *Exec) replayActsPerSubarray(name string) (actsStats, error) {
 	if _, err := x.replay(name, replayPass{kind: measurePass, obs: func(sub, bank, row int, now dram.Time) {
 		counts[sub*g.BanksPerSubChannel+bank][g.Subarray(dram.StridedR2SA, row)]++
 	}}); err != nil {
-		return actsStats{}, err
+		return 0, 0, err
 	}
 	// The observer saw only the measured windows; normalize to one tREFW.
 	scale := float64(dram.DDR5().TREFW) / float64(x.r.opts.measuredTime())
@@ -93,13 +80,18 @@ func (x *Exec) replayActsPerSubarray(name string) (actsStats, error) {
 			agg.Add(float64(c) * scale)
 		}
 	}
-	return actsStats{agg.Mean(), agg.StdDev()}, nil
+	return agg.Mean(), agg.StdDev(), nil
 }
 
 // Fig6 reproduces Figure 6: average ACTs per subarray per tREFW for every
-// workload against the worst-case single-bank bound. One job per workload.
+// workload against the worst-case single-bank bound. The averages are
+// Table 4's ACT/SA mean column; this experiment runs no replay of its own.
 func (r *Runner) Fig6() (*Table, error) {
 	specs, err := r.opts.workloadSpecs()
+	if err != nil {
+		return nil, err
+	}
+	t4, err := r.table("table4", (*Runner).Table4)
 	if err != nil {
 		return nil, err
 	}
@@ -108,19 +100,18 @@ func (r *Runner) Fig6() (*Table, error) {
 		Title:   "Avg ACTs/subarray per tREFW vs worst case",
 		Columns: []string{"Workload", "ACTs/subarray/tREFW", "paper"},
 	}
-	means, err := runJobs(r, workloadJobs("fig6", specs, func(x *Exec, name string) (float64, error) {
-		acts, err := x.actsPerSubarray(name)
-		return acts.mean, err
-	}))
+	for _, spec := range specs {
+		mean, err := t4.Cell(spec.Name, "ACT/SA mean")
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(spec.Name, mean, f1(spec.ActSAMean))
+	}
+	mean, err := t4.Cell("Average", "ACT/SA mean")
 	if err != nil {
 		return nil, err
 	}
-	var sum float64
-	for i, spec := range specs {
-		sum += means[i]
-		t.AddRow(spec.Name, f1(means[i]), f1(spec.ActSAMean))
-	}
-	t.AddRow("Average", f1(sum/float64(len(specs))), "806")
+	t.AddRow("Average", mean, "806")
 	worst := dram.DDR5().MaxACTsPerBankPerTREFW()
 	t.AddRow("Worst-case (one subarray)", d(int64(worst)), "621K")
 	t.Notes = append(t.Notes, "workloads sit 2-3 orders of magnitude below the worst case, which is what makes CGF effective")

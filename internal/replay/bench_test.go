@@ -75,8 +75,8 @@ func BenchmarkReplayRun(b *testing.B) {
 }
 
 // TestReplayRunAllocFree pins the replay hot loop at zero allocations once
-// warm. It counts runtime.MemStats.Mallocs over 20 warm 1 ms slices and
-// requires exactly 0: testing.AllocsPerRun truncates its mean, so one or
+// warm. It counts runtime.MemStats.Mallocs over 20 warm 1 ms slices (5
+// under -short, which the race-enabled sweep uses) and requires exactly 0: testing.AllocsPerRun truncates its mean, so one or
 // two allocations per run would read as 0. It runs at GOMAXPROCS(1)
 // because every Run starts the trace producer goroutine (DESIGN.md §22),
 // and with a second P that start can allocate: BenchmarkReplayRun reads
@@ -86,7 +86,10 @@ func BenchmarkReplayRun(b *testing.B) {
 // rows a slice activates lie in counter chunks that already exist.
 func TestReplayRunAllocFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const slices = 20
+	slices := 20
+	if testing.Short() {
+		slices = 5
+	}
 	for _, policy := range []string{"mirza", "mint-rfm", "mopac"} {
 		t.Run(policy, func(t *testing.T) {
 			r := newWarmRunner(t, policy)

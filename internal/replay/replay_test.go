@@ -10,6 +10,7 @@ import (
 
 	"mirza/internal/core"
 	"mirza/internal/dram"
+	"mirza/internal/tenant"
 	"mirza/internal/trace"
 	"mirza/internal/track"
 )
@@ -168,6 +169,9 @@ func TestReplayValidation(t *testing.T) {
 			gs[c] = g
 		}
 		return gs
+	}
+	if tenant.MaxCores != maxCores {
+		t.Errorf("tenant specs may ask for %d cores, the replayer takes %d", tenant.MaxCores, maxCores)
 	}
 	if _, err := NewRunner(Config{IPS: 1e9}, opsGens(maxCores+1), nil); err == nil {
 		t.Errorf("%d cores must be rejected", maxCores+1)

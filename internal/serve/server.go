@@ -457,10 +457,6 @@ func (s *Server) finish(rec *jobRec, out *Outcome) {
 	rec.finished = now
 	started := rec.started
 	rec.mu.Unlock()
-	close(rec.done)
-	if rec.cancel != nil {
-		rec.cancel()
-	}
 
 	status := "ok"
 	switch {
@@ -484,6 +480,10 @@ func (s *Server) finish(rec *jobRec, out *Outcome) {
 		} else {
 			s.avgRunMS.Store((7*old + int64(ms) + 1) / 8)
 		}
+	}
+	close(rec.done)
+	if rec.cancel != nil {
+		rec.cancel()
 	}
 	s.logf("job %s %s (%s)", rec.id, status, rec.key[:min(12, len(rec.key))])
 }

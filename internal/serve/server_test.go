@@ -12,6 +12,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -391,6 +393,46 @@ func TestPanicIsolation(t *testing.T) {
 	if n := s.Registry().Snapshot().CounterTotal("serve_jobs_total"); n != 2 {
 		t.Errorf("serve_jobs_total = %d, want 2", n)
 	}
+}
+
+// TestJobCountedBeforeWaitReturns: a waiter on a job (a ?wait=1 request,
+// or Submit then Done) wakes only after the job is counted in
+// serve_jobs_total, so once k waits have returned the counter reads at
+// least k. The waits are Submit's: an HTTP round trip after the wake-up
+// would hide a late count.
+func TestJobCountedBeforeWaitReturns(t *testing.T) {
+	const clients, perClient = 8, 50
+	fb := newFakeBackend()
+	s, _ := newTestServer(t, Config{Workers: 4, Logf: func(string, ...any) {}}, fb)
+	var returned atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		c := c
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				prep, err := fb.Prepare(&Request{Experiment: fmt.Sprintf("fine-%d-%d", c, i)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				job, err := s.Submit(prep)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				<-job.Done()
+				job.Release(false)
+				k := returned.Add(1)
+				if n := s.Registry().Snapshot().CounterTotal("serve_jobs_total"); n < k {
+					t.Errorf("%d waits returned, serve_jobs_total = %d", k, n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestDegradedResultIsFlaggedAndNeverCached(t *testing.T) {

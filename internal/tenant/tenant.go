@@ -56,6 +56,11 @@ type Spec struct {
 	Tenants []Tenant
 }
 
+// MaxCores bounds a spec's total core count. Each core gets its own
+// trace generator, and the activation replayer refuses more than this
+// many (its merge key packs a core index into 10 bits).
+const MaxCores = 1 << 10
+
 // DefaultSpec is the scenario used when -tenants gives none: a 6-core
 // victim VM running xz next to a 2-core attacker hammering its own
 // allocation's edges.
@@ -64,10 +69,11 @@ const DefaultSpec = "xz:6+attack=edge:2"
 // Parse parses a scenario spec: '+'-separated tenants, each
 // "workload[:cores]" or "attack=<kind>[:cores]" (cores default 1), e.g.
 // "xz:6+attack=edge:2". At most one attacker is allowed (the attribution
-// model distinguishes attacker-owned from victim-owned rows).
+// model distinguishes attacker-owned from victim-owned rows), and the
+// tenants share at most MaxCores cores.
 func Parse(s string) (*Spec, error) {
 	spec := &Spec{}
-	attackers := 0
+	attackers, cores := 0, 0
 	for _, ent := range strings.Split(s, "+") {
 		ent = strings.TrimSpace(ent)
 		if ent == "" {
@@ -81,6 +87,10 @@ func Parse(s string) (*Spec, error) {
 			}
 			t.Cores = n
 			ent = strings.TrimSpace(ent[:i])
+		}
+		// Summed entry by entry, so a huge count cannot overflow the total.
+		if cores += t.Cores; t.Cores > MaxCores || cores > MaxCores {
+			return nil, fmt.Errorf("tenant: %q needs more than %d cores", s, MaxCores)
 		}
 		if kind, ok := strings.CutPrefix(ent, "attack="); ok {
 			if kind != AttackEdge && kind != AttackDouble {

@@ -28,6 +28,10 @@ func TestParseSpec(t *testing.T) {
 		{in: "xz:0", wantErr: "bad core count"},
 		{in: "xz:-1", wantErr: "bad core count"},
 		{in: "xz:two", wantErr: "bad core count"},
+		{in: "xz:1022+attack=edge:2", cores: []int{1022, 2}, names: []string{"xz", "attack=edge"}},
+		{in: "xz:100000000+attack=edge:2", wantErr: "more than 1024 cores"},
+		{in: "xz:1023+attack=edge:2", wantErr: "more than 1024 cores"},
+		{in: "xz:9223372036854775807+bc:9223372036854775807", wantErr: "more than 1024 cores"},
 		{in: "attack=sideways:1", wantErr: "unknown attack kind"},
 		{in: "attack=edge:1+attack=double:1", wantErr: "more than one attacker"},
 	}
