@@ -188,10 +188,10 @@ type attemptOutcome struct {
 
 // attempt runs the experiment once through the Runner's table memo,
 // converting a panic into an error with a stack trace. Deadlines are
-// enforced per job inside the engine (see Options.JobTimeout); a timed-out job surfaces here as an ordinary
-// experiment error wrapping ErrTimeout. The recover backstops panics in
-// enumeration/aggregation code — panics inside jobs are already converted
-// by the pool.
+// enforced per job inside the engine (see Options.JobTimeout); a
+// timed-out job surfaces here as an ordinary experiment error wrapping
+// ErrTimeout. The recover backstops panics in enumeration/aggregation
+// code — panics inside jobs are already converted by the pool.
 func (s *Suite) attempt(ctx context.Context, exp Experiment, runner *Runner) (out attemptOutcome) {
 	runner.WithContext(ctx)
 	j0, b0 := runner.JobStats()

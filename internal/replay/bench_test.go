@@ -76,8 +76,9 @@ func BenchmarkReplayRun(b *testing.B) {
 
 // TestReplayRunAllocFree pins the replay hot loop at zero allocations once
 // warm. It counts runtime.MemStats.Mallocs over 20 warm 1 ms slices (5
-// under -short, which the race-enabled sweep uses) and requires exactly 0: testing.AllocsPerRun truncates its mean, so one or
-// two allocations per run would read as 0. It runs at GOMAXPROCS(1)
+// under -short, which the race-enabled sweep uses) and requires exactly
+// 0: testing.AllocsPerRun truncates its mean, so one or two allocations
+// per run would read as 0. It runs at GOMAXPROCS(1)
 // because every Run starts the trace producer goroutine (DESIGN.md §22),
 // and with a second P that start can allocate: BenchmarkReplayRun reads
 // 0 B/op at -cpu 1 and about 20 B/op at -cpu 2, under both policies. That
