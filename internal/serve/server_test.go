@@ -407,7 +407,6 @@ func TestJobCountedBeforeWaitReturns(t *testing.T) {
 	var returned atomic.Int64
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
-		c := c
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
