@@ -39,6 +39,7 @@ import (
 	"strings"
 	"time"
 
+	"mirza/internal/cliflags"
 	"mirza/internal/provenance"
 	"mirza/internal/sweep"
 )
@@ -175,10 +176,14 @@ func cmdRun(args []string) int {
 		if err != nil {
 			return fatal(fs, "%v", err)
 		}
+		wl, err := cliflags.Workloads("-workloads", *workloads)
+		if err != nil {
+			return fatal(fs, "%v", err)
+		}
 		g = &sweep.Grid{
 			Experiments:   splitList(*exp),
 			Seeds:         sr,
-			Workloads:     splitList(*workloads),
+			Workloads:     wl,
 			Mitigations:   splitList(*mitigations),
 			Quick:         *quick,
 			MeasureMS:     *measureMS,

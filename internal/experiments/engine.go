@@ -17,9 +17,10 @@ package experiments
 //     merges the logs into Runner.FaultLog in submission order, which
 //     reproduces the sequential log exactly (both are prefix-truncations
 //     at the same retention cap).
-//   - Shared per-workload state (baselines, MLP calibration) lives behind
-//     the Runner's single-flight layer, and its computation draws only on
-//     job-order-independent streams.
+//   - Shared per-workload state (baselines, MLP calibration, the MIRZA
+//     pass of mirzaSets) lives behind the Runner's single-flight layer,
+//     and its computation draws only on job-order-independent streams.
+//     The MIRZA pass's faults are merged into every reading job's log.
 //
 // With Parallelism == 1 the pool degrades to the strictly sequential
 // engine: same execution order, same fail-fast behaviour, same output

@@ -198,8 +198,9 @@ func (o *Options) workloadSpecs() ([]trace.WorkloadSpec, error) {
 
 // Runner holds the state shared by every job of every experiment in one
 // process: the options, the single-flight per-workload calibration layer
-// (baselines and MLP budgets), the finished tables, and the merged fault
-// log. All exported methods are safe for concurrent use by parallel jobs.
+// (baselines and MLP budgets), the finished tables, each workload's shared
+// MIRZA replay, and the merged fault log. All exported methods are safe
+// for concurrent use by parallel jobs.
 type Runner struct {
 	opts Options
 
@@ -209,8 +210,9 @@ type Runner struct {
 	// twice (single-flight).
 	mu           sync.Mutex
 	baselines    map[string]*flight[*Baseline]
-	calibrations map[string]int             // times each workload's baseline was computed
-	tables       map[string]*flight[*Table] // finished experiments by ID
+	calibrations map[string]int                 // times each workload's baseline was computed
+	tables       map[string]*flight[*Table]     // finished experiments by ID
+	mirza        map[string]*flight[*mirzaPass] // shared MIRZA passes by workload (mirzaSets)
 
 	// faultLog is the merged log of faults injected under opts.Faults:
 	// per-job logs folded in deterministic job-submission order.
@@ -258,6 +260,7 @@ func NewRunner(opts Options) *Runner {
 		baselines:    make(map[string]*flight[*Baseline]),
 		calibrations: make(map[string]int),
 		tables:       make(map[string]*flight[*Table]),
+		mirza:        make(map[string]*flight[*mirzaPass]),
 		faultLog:     fault.NewLog(),
 		pool: jobs.NewPool(jobs.Options{
 			Parallelism: opts.Parallelism,
@@ -578,23 +581,6 @@ func (x *Exec) warmMirza(name string, cfgs []core.Config) ([][]*core.Mirza, erro
 		}
 	}
 	return sets, nil
-}
-
-// replayMirza warms one fresh MIRZA set per config, then replays one
-// measured pass through them all. The sets' stats cover the whole measured
-// pass, its unmeasured first window included; afterWarm, if set, sees them
-// right after that window.
-func (x *Exec) replayMirza(name string, cfgs []core.Config, afterWarm func([][]*core.Mirza)) ([][]*core.Mirza, []replayResult, error) {
-	sets, err := x.warmMirza(name, cfgs)
-	if err != nil {
-		return nil, nil, err
-	}
-	p := replayPass{kind: measurePass, sets: asSets(sets)}
-	if afterWarm != nil {
-		p.afterWarm = func() { afterWarm(sets) }
-	}
-	res, err := x.replay(name, p)
-	return sets, res, err
 }
 
 // passKind fixes a replay pass's activation stream, its fault streams and

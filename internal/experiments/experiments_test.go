@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
+	"mirza/internal/core"
 	"mirza/internal/dram"
 )
 
@@ -53,6 +55,26 @@ func TestTable7Values(t *testing.T) {
 	for _, row := range table.Rows {
 		if sram, ok := want[row[0]]; ok && row[4] != sram {
 			t.Errorf("TRHD=%s: SRAM %s, want %s", row[0], row[4], sram)
+		}
+	}
+}
+
+// TestTable8Row: a zero escape count or mitigation count prints 0, not
+// 1/+Inf, and Difference then prints "-", not 0.0x; a golden-like row
+// keeps its rounding.
+func TestTable8Row(t *testing.T) {
+	for _, tc := range []struct {
+		trhd, mintW int
+		s           core.MirzaStats
+		want        []string
+	}{
+		{1000, 49, core.MirzaStats{ACTs: 1910000, Escaped: 119375, Mitigations: 10000},
+			[]string{"1000", "1/49", "1/16", "1/191", "3.9x"}},
+		{2000, 100, core.MirzaStats{ACTs: 1000}, []string{"2000", "1/100", "0", "0", "-"}},
+		{500, 24, core.MirzaStats{ACTs: 1000, Escaped: 10}, []string{"500", "1/24", "1/100", "0", "-"}},
+	} {
+		if got := table8Row(tc.trhd, tc.mintW, tc.s); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("table8Row(%d, %d, %+v) = %q, want %q", tc.trhd, tc.mintW, tc.s, got, tc.want)
 		}
 	}
 }

@@ -264,7 +264,11 @@ func replayMitigations(t *testing.T, opts Options) (alerts, mitig int64, log *fa
 	if err != nil {
 		t.Fatal(err)
 	}
-	sets, res, err := x.replayMirza("xz", []core.Config{cfg}, nil)
+	sets, err := x.warmMirza("xz", []core.Config{cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := x.replay("xz", replayPass{kind: measurePass, sets: asSets(sets)})
 	if err != nil {
 		t.Fatal(err)
 	}

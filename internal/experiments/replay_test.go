@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -73,9 +74,13 @@ func TestReplaySetsMatchSeparatePasses(t *testing.T) {
 	names := []string{"MIRZA-500", "MIRZA-2K", "PRAC"}
 	// newSets builds fresh MIRZA-500, MIRZA-2K and PRAC sets.
 	newSets := func() [][]track.Mitigator {
-		cfgs, err := mirzaConfigs([]int{500, 2000})
-		if err != nil {
-			t.Fatal(err)
+		var cfgs []core.Config
+		for _, trhd := range []int{500, 2000} {
+			cfg, err := core.ForTRHD(trhd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfgs = append(cfgs, cfg)
 		}
 		ms, err := mirzaMits(cfgs, opts.Seed)
 		if err != nil {
@@ -255,6 +260,107 @@ func TestDerivedTablesReadTheirSources(t *testing.T) {
 		same("fig6 "+row, cell("fig6", row, "ACTs/subarray/tREFW"), cell("table4", row, "ACT/SA mean"))
 	}
 	same("fig1c", cell("fig1c", "Mitigations vs MINT", "Value"), cell("table8", "1000", "Difference"))
+}
+
+// mirzaReplayACTs returns the layer=replay track_acts_total counters of
+// MIRZA sets, by policy and sub-channel.
+func mirzaReplayACTs(reg *telemetry.Registry) map[string]int64 {
+	out := map[string]int64{}
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == "track_acts_total" && c.Labels["layer"] == "replay" && strings.HasPrefix(c.Labels["policy"], "MIRZA") {
+			out[c.Labels["policy"]+"/"+c.Labels["sub"]] = c.Value
+		}
+	}
+	return out
+}
+
+// TestMirzaPassIsShared: on one Suite, Table 8, Fig 11b and Fig 13 read one
+// MIRZA pass per workload. Each renders what it renders on a fresh Runner,
+// the Suite's fault log is the fresh Runners' logs merged in experiment
+// order, Fig 13 replays nothing after Table 8, and Fig 11b and Fig 13
+// flush no MIRZA replay telemetry of their own.
+func TestMirzaPassIsShared(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays refresh windows")
+	}
+	plan, err := fault.Parse("seed=7,alertdrop=0.3,bitflip=2e-6,alertdelay=16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := goldenOptions([]string{"xz", "bc"}, plan)
+	opts.Parallelism = 8
+	var exps []Experiment
+	for _, id := range []string{"table8", "fig11b", "fig13"} {
+		exp, err := Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps = append(exps, exp)
+	}
+	fresh := map[string]string{}
+	freshLog := fault.NewLog()
+	for _, exp := range exps {
+		r := NewRunner(opts)
+		tab, err := exp.Run(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[exp.ID] = tab.Render()
+		freshLog.Merge(r.FaultLog())
+	}
+	if freshLog.Count(fault.BitFlip) == 0 || freshLog.Count(fault.AlertDrop) == 0 {
+		t.Fatalf("the plan injected too little to compare: %s", freshLog.Summary())
+	}
+	for _, j := range []int{1, 8} {
+		t.Run(fmt.Sprintf("j%d", j), func(t *testing.T) {
+			o := opts
+			o.Parallelism = j
+			o.Telemetry = telemetry.New()
+			s := NewSuite(o, SuiteConfig{NoRetry: true})
+			var afterTable8 map[string]int64
+			for _, exp := range exps {
+				r := s.Runner()
+				var calibrations int
+				if exp.ID == "fig13" {
+					// Every replay pass reads its workload's baseline for
+					// the replay clock, so with the baselines forgotten a
+					// replay would compute them again.
+					r.mu.Lock()
+					clear(r.baselines)
+					calibrations = r.calibrations["xz"] + r.calibrations["bc"]
+					r.mu.Unlock()
+				}
+				res := s.Run(context.Background(), exp)
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				if got := res.Table.Render(); got != fresh[exp.ID] {
+					t.Errorf("%s on a shared Suite:\n%s\nfresh Runner:\n%s", exp.ID, got, fresh[exp.ID])
+				}
+				switch exp.ID {
+				case "table8":
+					afterTable8 = mirzaReplayACTs(o.Telemetry)
+				case "fig13":
+					r.mu.Lock()
+					again := r.calibrations["xz"] + r.calibrations["bc"] - calibrations
+					r.mu.Unlock()
+					if again != 0 {
+						t.Errorf("fig13 after table8 replayed: %d baselines recomputed", again)
+					}
+				}
+			}
+			log := s.Runner().FaultLog()
+			if log.Summary() != freshLog.Summary() || !reflect.DeepEqual(log.Events(), freshLog.Events()) {
+				t.Errorf("Suite fault log %s, fresh logs merged %s", log.Summary(), freshLog.Summary())
+			}
+			if len(afterTable8) == 0 {
+				t.Fatal("table8 flushed no MIRZA replay telemetry")
+			}
+			if got := mirzaReplayACTs(o.Telemetry); !reflect.DeepEqual(got, afterTable8) {
+				t.Errorf("MIRZA replay ACTs %v after all three, %v after table8", got, afterTable8)
+			}
+		})
+	}
 }
 
 func TestTableCell(t *testing.T) {

@@ -5,6 +5,8 @@ import (
 
 	"mirza/internal/core"
 	"mirza/internal/dram"
+	"mirza/internal/fault"
+	"mirza/internal/replay"
 	"mirza/internal/security"
 	"mirza/internal/stats"
 	"mirza/internal/track"
@@ -211,20 +213,68 @@ func (r *Runner) Table6() (*Table, error) {
 	return t, nil
 }
 
-// mirzaConfigs returns MIRZA's configuration for each TRHD.
-func mirzaConfigs(trhds []int) ([]core.Config, error) {
-	cfgs := make([]core.Config, len(trhds))
-	for i, trhd := range trhds {
-		var err error
-		if cfgs[i], err = core.ForTRHD(trhd); err != nil {
-			return nil, err
-		}
-	}
-	return cfgs, nil
+// mirzaTRHDs are the TRHDs of the Table VII MIRZA sets that Table 8, Fig
+// 11b and Fig 13 read from one shared pass, in Table 8's set order, which
+// orders the pass's fault events.
+var mirzaTRHDs = []int{2000, 1000, 500}
+
+// mirzaSet is what one MIRZA set saw in a workload's measured pass.
+type mirzaSet struct {
+	total, warm core.MirzaStats // setTotals after the pass and after its first window
+	measured    []replay.Stats  // per sub-channel, the measured windows only
 }
 
-// Table8 reproduces Table VIII: the mitigation overhead of MINT vs MIRZA.
-// One job per workload; its three TRHDs share each replay pass.
+// mirzaPass is one workload's replay of the mirzaTRHDs sets: each set's
+// outcome by TRHD, and the faults the pass injected.
+type mirzaPass struct {
+	sets   map[int]mirzaSet
+	faults *fault.Log
+}
+
+// mirzaSets returns workload name's mirzaTRHDs sets as one warm-up pass
+// and one measured pass left them. The passes run once per Runner, single-
+// flight like Runner.Baseline, under the context of the job that asks
+// first and into a fault log of their own; every caller merges that log
+// into its job's, so each experiment logs what a pass of its own would.
+func (x *Exec) mirzaSets(name string) (map[int]mirzaSet, error) {
+	p, err := singleFlight(x.r, x.r.mirza, name, func() (*mirzaPass, error) {
+		cfgs := make([]core.Config, len(mirzaTRHDs))
+		for k, trhd := range mirzaTRHDs {
+			var err error
+			if cfgs[k], err = core.ForTRHD(trhd); err != nil {
+				return nil, err
+			}
+		}
+		px := &Exec{r: x.r, log: fault.NewLog(), ctx: x.ctx}
+		sets, err := px.warmMirza(name, cfgs)
+		if err != nil {
+			return nil, err
+		}
+		warm := make([]core.MirzaStats, len(sets))
+		res, err := px.replay(name, replayPass{kind: measurePass, sets: asSets(sets), afterWarm: func() {
+			for k, set := range sets {
+				warm[k] = setTotals(set)
+			}
+		}})
+		if err != nil {
+			return nil, err
+		}
+		p := &mirzaPass{sets: make(map[int]mirzaSet), faults: px.log}
+		for k, trhd := range mirzaTRHDs {
+			p.sets[trhd] = mirzaSet{total: setTotals(sets[k]), warm: warm[k], measured: res[k].measured}
+		}
+		return p, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	x.log.Merge(p.faults)
+	return p.sets, nil
+}
+
+// Table8 reproduces Table VIII: the mitigation overhead of MINT vs MIRZA
+// over each workload's shared MIRZA pass (mirzaSets), its unmeasured first
+// window included.
 func (r *Runner) Table8() (*Table, error) {
 	specs, err := r.opts.workloadSpecs()
 	if err != nil {
@@ -237,53 +287,44 @@ func (r *Runner) Table8() (*Table, error) {
 		Columns: []string{"TRHD", "MINT (1/W)", "MIRZA escape prob",
 			"MIRZA rate", "Difference"},
 	}
-	trhds := []int{2000, 1000, 500}
-	cfgs, err := mirzaConfigs(trhds)
+	perSpec, err := runJobs(r, workloadJobs("table8", specs, (*Exec).mirzaSets))
 	if err != nil {
 		return nil, err
 	}
-	perSpec, err := runJobs(r, workloadJobs("table8", specs, func(x *Exec, name string) ([]core.MirzaStats, error) {
-		sets, _, err := x.replayMirza(name, cfgs, nil)
-		if err != nil {
-			return nil, err
+	for _, trhd := range mirzaTRHDs {
+		var sum core.MirzaStats
+		for _, sets := range perSpec {
+			sum.ACTs += sets[trhd].total.ACTs
+			sum.Escaped += sets[trhd].total.Escaped
+			sum.Mitigations += sets[trhd].total.Mitigations
 		}
-		out := make([]core.MirzaStats, len(sets))
-		for k, set := range sets {
-			out[k] = setTotals(set)
-		}
-		return out, nil
-	}))
-	if err != nil {
-		return nil, err
-	}
-	for ti, trhd := range trhds {
-		var acts, escaped, mitig int64
-		for _, cells := range perSpec {
-			acts += cells[ti].ACTs
-			escaped += cells[ti].Escaped
-			mitig += cells[ti].Mitigations
-		}
-		mintW := model.WindowForTRHD(trhd)
-		escape := float64(escaped) / float64(acts)
-		rate := float64(mitig) / float64(acts)
-		diff := 0.0
-		if rate > 0 {
-			diff = (1.0 / float64(mintW)) / rate
-		}
-		t.AddRow(d(int64(trhd)),
-			fmt.Sprintf("1/%d", mintW),
-			fmt.Sprintf("1/%.0f", 1/escape),
-			fmt.Sprintf("1/%.0f", 1/rate),
-			fmt.Sprintf("%.1fx", diff))
+		t.AddRow(table8Row(trhd, model.WindowForTRHD(trhd), sum)...)
 	}
 	t.Notes = append(t.Notes,
 		"paper: 1/96 vs 1/12016 (125x), 1/48 vs 1/1368 (28.5x), 1/24 vs 1/240 (10x)")
 	return t, nil
 }
 
+// table8Row formats Table 8's row for one TRHD from the summed MIRZA
+// counts. A rate with no events prints 0, and then Difference, MINT's
+// rate over MIRZA's, prints "-".
+func table8Row(trhd, mintW int, s core.MirzaStats) []string {
+	oneIn := func(p float64) string {
+		if p == 0 {
+			return "0"
+		}
+		return fmt.Sprintf("1/%.0f", 1/p)
+	}
+	diff := "-"
+	if rate := s.MitigationRate(); rate > 0 {
+		diff = fmt.Sprintf("%.1fx", (1.0/float64(mintW))/rate)
+	}
+	return []string{d(int64(trhd)), fmt.Sprintf("1/%d", mintW), oneIn(s.EscapeProbability()), oneIn(s.MitigationRate()), diff}
+}
+
 // Fig11b reproduces Figure 11(b): ALERTs per 100xtREFI per sub-channel for
-// MIRZA and PRAC. One job per workload: one warm-up pass primes the three
-// MIRZA sets, and one measured pass replays them and a PRAC set.
+// MIRZA and PRAC. One job per workload: the MIRZA columns read the shared
+// MIRZA pass (mirzaSets), and one measured pass replays a fresh PRAC set.
 func (r *Runner) Fig11b() (*Table, error) {
 	specs, err := r.opts.workloadSpecs()
 	if err != nil {
@@ -295,24 +336,19 @@ func (r *Runner) Fig11b() (*Table, error) {
 		Title:   "ALERTs per 100xtREFI (per sub-channel)",
 		Columns: []string{"Workload", "MIRZA-500", "MIRZA-1K", "MIRZA-2K", "PRAC"},
 	}
-	g := dram.Default()
-	cfgs, err := mirzaConfigs([]int{500, 1000, 2000})
-	if err != nil {
-		return nil, err
-	}
 
 	// alertRate converts one set's measured replay stats to the figure's rate.
-	alertRate := func(res replayResult) float64 {
+	alertRate := func(measured []replay.Stats) float64 {
 		var alerts int64
-		for _, s := range res.measured {
+		for _, s := range measured {
 			alerts += s.Alerts
 		}
-		return float64(alerts) / float64(len(res.measured)) / (float64(r.opts.measuredTime()) / float64(tREFI)) * 100
+		return float64(alerts) / float64(len(measured)) / (float64(r.opts.measuredTime()) / float64(tREFI)) * 100
 	}
 
 	// Per workload: the three MIRZA configurations, then PRAC.
 	rates, err := runJobs(r, workloadJobs("fig11b", specs, func(x *Exec, name string) ([]float64, error) {
-		warmed, err := x.warmMirza(name, cfgs)
+		mirza, err := x.mirzaSets(name)
 		if err != nil {
 			return nil, err
 		}
@@ -320,19 +356,16 @@ func (r *Runner) Fig11b() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		prac := make([]track.Mitigator, g.SubChannels)
+		prac := make([]track.Mitigator, dram.Default().SubChannels)
 		for i := range prac {
 			prac[i] = b.Factory()(i, track.NopSink{})
 		}
-		res, err := x.replay(name, replayPass{kind: measurePass, sets: append(asSets(warmed), prac)})
+		res, err := x.replay(name, replayPass{kind: measurePass, sets: [][]track.Mitigator{prac}})
 		if err != nil {
 			return nil, err
 		}
-		rates := make([]float64, len(res))
-		for k := range res {
-			rates[k] = alertRate(res[k])
-		}
-		return rates, nil
+		return []float64{alertRate(mirza[500].measured), alertRate(mirza[1000].measured),
+			alertRate(mirza[2000].measured), alertRate(res[0].measured)}, nil
 	}))
 	if err != nil {
 		return nil, err
@@ -352,8 +385,9 @@ func (r *Runner) Fig11b() (*Table, error) {
 	return t, nil
 }
 
-// Fig13 reproduces Figure 13: the refresh-power overhead of MINT vs MIRZA.
-// One job per workload; its three TRHDs share each replay pass.
+// Fig13 reproduces Figure 13: the refresh-power overhead of MINT vs MIRZA,
+// over the measured windows of each workload's shared MIRZA pass
+// (mirzaSets). One job per workload.
 func (r *Runner) Fig13() (*Table, error) {
 	specs, err := r.opts.workloadSpecs()
 	if err != nil {
@@ -367,44 +401,22 @@ func (r *Runner) Fig13() (*Table, error) {
 		Columns: []string{"TRHD", "MINT+RFM", "MIRZA", "paper MINT", "paper MIRZA"},
 	}
 	paperMINT := map[int]string{500: "16.4%", 1000: "8.2%", 2000: "4.1%"}
-	trhds := []int{500, 1000, 2000}
-	cfgs, err := mirzaConfigs(trhds)
+	perSpec, err := runJobs(r, workloadJobs("fig13", specs, (*Exec).mirzaSets))
 	if err != nil {
 		return nil, err
 	}
-	type counts struct{ acts, mirzaVictims, demandRows int64 }
-	perSpec, err := runJobs(r, workloadJobs("fig13", specs, func(x *Exec, name string) ([]counts, error) {
-		// Count MIRZA's mitigations over the measured windows only, the
-		// span demandRows covers.
-		var warm []int64
-		sets, res, err := x.replayMirza(name, cfgs, func(sets [][]*core.Mirza) {
-			for _, set := range sets {
-				warm = append(warm, setTotals(set).Mitigations)
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		out := make([]counts, len(sets))
-		for k, set := range sets {
-			out[k].mirzaVictims = (setTotals(set).Mitigations - warm[k]) * track.MitigationVictims
-			for _, s := range res[k].measured {
-				out[k].acts += s.ACTs
-				out[k].demandRows += s.REFs * int64(g.RowsPerREF) * int64(g.BanksPerSubChannel)
-			}
-		}
-		return out, nil
-	}))
-	if err != nil {
-		return nil, err
-	}
-	for ti, trhd := range trhds {
+	for _, trhd := range []int{500, 1000, 2000} {
 		mintW := model.WindowForTRHD(trhd)
 		var acts, mirzaVictims, demandRows int64
-		for _, cells := range perSpec {
-			acts += cells[ti].acts
-			mirzaVictims += cells[ti].mirzaVictims
-			demandRows += cells[ti].demandRows
+		for _, sets := range perSpec {
+			// MIRZA's mitigations count over the measured windows only,
+			// the span demandRows covers.
+			set := sets[trhd]
+			mirzaVictims += (set.total.Mitigations - set.warm.Mitigations) * track.MitigationVictims
+			for _, s := range set.measured {
+				acts += s.ACTs
+				demandRows += s.REFs * int64(g.RowsPerREF) * int64(g.BanksPerSubChannel)
+			}
 		}
 		mintVictims := acts / int64(mintW) * track.MitigationVictims
 		t.AddRow(d(int64(trhd)),
