@@ -201,6 +201,8 @@ func cmdRun(args []string) int {
 		if benchBin = defaultBench(); benchBin == "" {
 			return fatal(fs, "mirza-bench not found next to mirza-sweep or on $PATH; pass -bench")
 		}
+	} else if _, err := exec.LookPath(benchBin); err != nil {
+		return fatal(fs, "-bench: %v", err)
 	}
 	logf := func(string, ...any) {}
 	if *verbose {

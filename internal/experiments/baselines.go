@@ -44,7 +44,6 @@ func (r *Runner) Baselines() (*Table, error) {
 	var js []job[cell]
 	for _, policy := range policies {
 		for _, spec := range specs {
-			policy, spec := policy, spec
 			js = append(js, job[cell]{
 				id: fmt.Sprintf("baselines/%s/%s", policy, spec.Name),
 				run: func(x *Exec) (cell, error) {

@@ -18,7 +18,7 @@ package experiments
 //     reproduces the sequential log exactly (both are prefix-truncations
 //     at the same retention cap).
 //   - Shared per-workload state (baselines, MLP calibration, the MIRZA
-//     pass of mirzaSets) lives behind the Runner's single-flight layer,
+//     pass of sharedPass) lives behind the Runner's single-flight layer,
 //     and its computation draws only on job-order-independent streams.
 //     The MIRZA pass's faults are merged into every reading job's log.
 //
@@ -60,7 +60,6 @@ func runJobs[T any](r *Runner, js []job[T]) ([]T, error) {
 	execs := make([]*Exec, len(js))
 	pool := make([]jobs.Job[T], len(js))
 	for i := range js {
-		i := i
 		execs[i] = r.newExec()
 		pool[i] = jobs.Job[T]{
 			ID: js[i].id,

@@ -15,6 +15,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -212,7 +213,7 @@ type Runner struct {
 	baselines    map[string]*flight[*Baseline]
 	calibrations map[string]int                 // times each workload's baseline was computed
 	tables       map[string]*flight[*Table]     // finished experiments by ID
-	mirza        map[string]*flight[*mirzaPass] // shared MIRZA passes by workload (mirzaSets)
+	mirza        map[string]*flight[*mirzaPass] // shared MIRZA passes by workload (sharedPass)
 
 	// faultLog is the merged log of faults injected under opts.Faults:
 	// per-job logs folded in deterministic job-submission order.
@@ -475,20 +476,13 @@ func (r *Runner) calibrateMLP(spec trace.WorkloadSpec) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if abs64(ips-target) >= abs64(bestIPS-target) {
+		if math.Abs(ips-target) >= math.Abs(bestIPS-target) {
 			break
 		}
 		best, bestIPS = next, ips
 	}
 	r.opts.Logf("calibrated %s: MLP=%d (IPS %.2fG vs target %.2fG)", spec.Name, best, bestIPS/1e9, target/1e9)
 	return best, nil
-}
-
-func abs64(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // runTiming executes a protected timing simulation of base's workload: its

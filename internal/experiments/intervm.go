@@ -54,7 +54,6 @@ func (r *Runner) InterVM() (*Table, error) {
 	// unprotected, same generators and address space as the shared run.
 	var solos []job[*timingResult]
 	for ti := range spec.Tenants {
-		ti := ti
 		solos = append(solos, job[*timingResult]{
 			id: fmt.Sprintf("intervm/solo/%d-%s", ti, spec.Tenants[ti].Name),
 			run: func(x *Exec) (*timingResult, error) {
@@ -90,7 +89,6 @@ func (r *Runner) InterVM() (*Table, error) {
 	layoutOf := spec.CoreLayout()
 	var js []job[cell]
 	for pi, policy := range policies {
-		pi, policy := pi, policy
 		js = append(js, job[cell]{
 			id: fmt.Sprintf("intervm/%s", policy),
 			run: func(x *Exec) (cell, error) {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"maps"
 	"reflect"
 	"strings"
 	"testing"
@@ -275,11 +276,26 @@ func mirzaReplayACTs(reg *telemetry.Registry) map[string]int64 {
 }
 
 // TestMirzaPassIsShared: on one Suite, Table 8, Fig 11b and Fig 13 read one
-// MIRZA pass per workload. Each renders what it renders on a fresh Runner,
-// the Suite's fault log is the fresh Runners' logs merged in experiment
-// order, Fig 13 replays nothing after Table 8, and Fig 11b and Fig 13
-// flush no MIRZA replay telemetry of their own.
+// shared pass per workload, whichever of Table 8 and Fig 11b runs first.
+// Each renders what it renders on a fresh Runner, and the Suite's fault log
+// is the fresh Runners' logs merged in experiment order. The PRAC set rides
+// in the shared pass only if Fig 11b runs first. After the first, the
+// others replay nothing but Fig 11b's PRAC set when Table 8 ran the pass
+// without it, and they flush no MIRZA replay telemetry of their own.
 func TestMirzaPassIsShared(t *testing.T) {
+	testSharedPass(t, []string{"xz", "bc"}, 0, 1, 8)
+}
+
+// TestMirzaPassIsSharedSmall is TestMirzaPassIsShared at -j 8 on two light
+// workloads of one core each, small enough to run under the race detector;
+// the two workloads' jobs run side by side on the shared Runner.
+func TestMirzaPassIsSharedSmall(t *testing.T) {
+	testSharedPass(t, []string{"cam4", "xalancbmk"}, 1, 8)
+}
+
+// testSharedPass runs TestMirzaPassIsShared's checks on workloads with
+// Options.Cores cores, at each parallelism.
+func testSharedPass(t *testing.T, workloads []string, cores int, parallelism ...int) {
 	if testing.Short() {
 		t.Skip("replays refresh windows")
 	}
@@ -287,79 +303,86 @@ func TestMirzaPassIsShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := goldenOptions([]string{"xz", "bc"}, plan)
+	opts := goldenOptions(workloads, plan)
+	opts.Cores = cores
 	opts.Parallelism = 8
-	var exps []Experiment
+	exps := map[string]Experiment{}
+	fresh := map[string]string{}
+	freshLogs := map[string]*fault.Log{}
 	for _, id := range []string{"table8", "fig11b", "fig13"} {
 		exp, err := Lookup(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exps = append(exps, exp)
-	}
-	fresh := map[string]string{}
-	freshLog := fault.NewLog()
-	for _, exp := range exps {
 		r := NewRunner(opts)
 		tab, err := exp.Run(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh[exp.ID] = tab.Render()
-		freshLog.Merge(r.FaultLog())
+		exps[id], fresh[id], freshLogs[id] = exp, tab.Render(), r.FaultLog()
+		if freshLogs[id].Count(fault.BitFlip) == 0 || freshLogs[id].Count(fault.AlertDrop) == 0 {
+			t.Fatalf("the plan injected too little into %s to compare: %s", id, freshLogs[id].Summary())
+		}
 	}
-	if freshLog.Count(fault.BitFlip) == 0 || freshLog.Count(fault.AlertDrop) == 0 {
-		t.Fatalf("the plan injected too little to compare: %s", freshLog.Summary())
-	}
-	for _, j := range []int{1, 8} {
-		t.Run(fmt.Sprintf("j%d", j), func(t *testing.T) {
-			o := opts
-			o.Parallelism = j
-			o.Telemetry = telemetry.New()
-			s := NewSuite(o, SuiteConfig{NoRetry: true})
-			var afterTable8 map[string]int64
-			for _, exp := range exps {
-				r := s.Runner()
-				var calibrations int
-				if exp.ID == "fig13" {
+	for _, order := range [][]string{{"table8", "fig11b", "fig13"}, {"fig11b", "table8", "fig13"}} {
+		for _, j := range parallelism {
+			t.Run(fmt.Sprintf("%s-first/j%d", order[0], j), func(t *testing.T) {
+				o := opts
+				o.Parallelism = j
+				o.Telemetry = telemetry.New()
+				s := NewSuite(o, SuiteConfig{NoRetry: true})
+				freshLog := fault.NewLog()
+				var afterFirst map[string]int64
+				for i, id := range order {
+					r := s.Runner()
 					// Every replay pass reads its workload's baseline for
 					// the replay clock, so with the baselines forgotten a
 					// replay would compute them again.
 					r.mu.Lock()
 					clear(r.baselines)
-					calibrations = r.calibrations["xz"] + r.calibrations["bc"]
+					calibrations := maps.Clone(r.calibrations)
 					r.mu.Unlock()
-				}
-				res := s.Run(context.Background(), exp)
-				if res.Err != nil {
-					t.Fatal(res.Err)
-				}
-				if got := res.Table.Render(); got != fresh[exp.ID] {
-					t.Errorf("%s on a shared Suite:\n%s\nfresh Runner:\n%s", exp.ID, got, fresh[exp.ID])
-				}
-				switch exp.ID {
-				case "table8":
-					afterTable8 = mirzaReplayACTs(o.Telemetry)
-				case "fig13":
+					res := s.Run(context.Background(), exps[id])
+					if res.Err != nil {
+						t.Fatal(res.Err)
+					}
+					if got := res.Table.Render(); got != fresh[id] {
+						t.Errorf("%s on a shared Suite:\n%s\nfresh Runner:\n%s", id, got, fresh[id])
+					}
+					freshLog.Merge(freshLogs[id])
+					if i == 0 {
+						afterFirst = mirzaReplayACTs(o.Telemetry)
+						r.mu.Lock()
+						for _, w := range workloads {
+							switch f := r.mirza[w]; {
+							case f == nil:
+								t.Errorf("%s left no shared pass of %s", id, w)
+							case (f.v.prac != nil) != (id == "fig11b"):
+								t.Errorf("%s's shared pass of %s carries PRAC: %v", id, w, f.v.prac != nil)
+							}
+						}
+						r.mu.Unlock()
+						continue
+					}
 					r.mu.Lock()
-					again := r.calibrations["xz"] + r.calibrations["bc"] - calibrations
+					replayed := !maps.Equal(r.calibrations, calibrations)
 					r.mu.Unlock()
-					if again != 0 {
-						t.Errorf("fig13 after table8 replayed: %d baselines recomputed", again)
+					if want := id == "fig11b" && order[0] == "table8"; replayed != want {
+						t.Errorf("%s after %s replayed: %v, want %v", id, order[0], replayed, want)
 					}
 				}
-			}
-			log := s.Runner().FaultLog()
-			if log.Summary() != freshLog.Summary() || !reflect.DeepEqual(log.Events(), freshLog.Events()) {
-				t.Errorf("Suite fault log %s, fresh logs merged %s", log.Summary(), freshLog.Summary())
-			}
-			if len(afterTable8) == 0 {
-				t.Fatal("table8 flushed no MIRZA replay telemetry")
-			}
-			if got := mirzaReplayACTs(o.Telemetry); !reflect.DeepEqual(got, afterTable8) {
-				t.Errorf("MIRZA replay ACTs %v after all three, %v after table8", got, afterTable8)
-			}
-		})
+				log := s.Runner().FaultLog()
+				if log.Summary() != freshLog.Summary() || !reflect.DeepEqual(log.Events(), freshLog.Events()) {
+					t.Errorf("Suite fault log %s, fresh logs merged %s", log.Summary(), freshLog.Summary())
+				}
+				if len(afterFirst) == 0 {
+					t.Fatalf("%s flushed no MIRZA replay telemetry", order[0])
+				}
+				if got := mirzaReplayACTs(o.Telemetry); !reflect.DeepEqual(got, afterFirst) {
+					t.Errorf("MIRZA replay ACTs %v after all three, %v after %s", got, afterFirst, order[0])
+				}
+			})
+		}
 	}
 }
 

@@ -100,7 +100,6 @@ func (r *Runner) Fig3() (*Table, error) {
 	var js []job[cell]
 	for _, trhd := range trhds {
 		for _, spec := range specs {
-			trhd, spec := trhd, spec
 			js = append(js, job[cell]{
 				id: fmt.Sprintf("fig3/trhd=%d/%s", trhd, spec.Name),
 				run: func(x *Exec) (cell, error) {
@@ -153,9 +152,7 @@ func (r *Runner) Fig11a() (*Table, error) {
 	const perSpec = 4
 	var js []job[float64]
 	for _, spec := range specs {
-		spec := spec
 		for _, trhd := range []int{500, 1000, 2000} {
-			trhd := trhd
 			js = append(js, job[float64]{
 				id: fmt.Sprintf("fig11a/%s/mirza-%d", spec.Name, trhd),
 				run: func(x *Exec) (float64, error) {
@@ -215,7 +212,6 @@ func (r *Runner) Table5() (*Table, error) {
 	for _, w := range windows {
 		for _, q := range queueSizes {
 			for _, spec := range specs {
-				w, q, spec := w, q, spec
 				js = append(js, job[float64]{
 					id: fmt.Sprintf("table5/w=%d/q=%d/%s", w, q, spec.Name),
 					run: func(x *Exec) (float64, error) {

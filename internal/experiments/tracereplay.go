@@ -64,7 +64,6 @@ func (r *Runner) TraceReplay() (*Table, error) {
 	var js []job[cell]
 	for _, tr := range traces {
 		for _, policy := range policies {
-			tr, policy := tr, policy
 			js = append(js, job[cell]{
 				id: fmt.Sprintf("tracereplay/%s/%s", tr.Name, policy),
 				run: func(x *Exec) (cell, error) {

@@ -224,44 +224,48 @@ type mirzaSet struct {
 	measured    []replay.Stats  // per sub-channel, the measured windows only
 }
 
-// mirzaPass is one workload's replay of the mirzaTRHDs sets: each set's
-// outcome by TRHD, and the faults the pass injected.
+// mirzaPass is one workload's shared replay: the mirzaTRHDs sets'
+// outcomes by TRHD and their faults, and Fig 11b's PRAC set if it rode along.
 type mirzaPass struct {
 	sets   map[int]mirzaSet
-	faults *fault.Log
+	faults *fault.Log    // the MIRZA sets' faults, warm-up and measured
+	prac   *replayResult // the PRAC set's measured stats and faults, or nil
 }
 
-// mirzaSets returns workload name's mirzaTRHDs sets as one warm-up pass
-// and one measured pass left them. The passes run once per Runner, single-
-// flight like Runner.Baseline, under the context of the job that asks
-// first and into a fault log of their own; every caller merges that log
-// into its job's, so each experiment logs what a pass of its own would.
-func (x *Exec) mirzaSets(name string) (map[int]mirzaSet, error) {
+// sharedPass returns workload name's mirzaPass, merging the MIRZA sets'
+// faults into the job's log: one warm-up pass over the mirzaTRHDs sets and
+// one measured pass over them and prac, if given, run once per Runner
+// (single-flight, under the first asker's context, into logs of their own).
+func (x *Exec) sharedPass(name string, prac ...[]track.Mitigator) (*mirzaPass, error) {
 	p, err := singleFlight(x.r, x.r.mirza, name, func() (*mirzaPass, error) {
 		cfgs := make([]core.Config, len(mirzaTRHDs))
 		for k, trhd := range mirzaTRHDs {
-			var err error
-			if cfgs[k], err = core.ForTRHD(trhd); err != nil {
-				return nil, err
-			}
+			cfgs[k], _ = core.ForTRHD(trhd) // Table VII's TRHDs always resolve
 		}
-		px := &Exec{r: x.r, log: fault.NewLog(), ctx: x.ctx}
-		sets, err := px.warmMirza(name, cfgs)
+		p := &mirzaPass{sets: make(map[int]mirzaSet), faults: fault.NewLog()}
+		sets, err := (&Exec{r: x.r, log: p.faults, ctx: x.ctx}).warmMirza(name, cfgs)
 		if err != nil {
 			return nil, err
 		}
 		warm := make([]core.MirzaStats, len(sets))
-		res, err := px.replay(name, replayPass{kind: measurePass, sets: asSets(sets), afterWarm: func() {
-			for k, set := range sets {
-				warm[k] = setTotals(set)
-			}
-		}})
+		res, err := (&Exec{r: x.r, log: fault.NewLog(), ctx: x.ctx}).replay(name, replayPass{
+			kind: measurePass,
+			sets: append(asSets(sets), prac...),
+			afterWarm: func() {
+				for k, set := range sets {
+					warm[k] = setTotals(set)
+				}
+			},
+		})
 		if err != nil {
 			return nil, err
 		}
-		p := &mirzaPass{sets: make(map[int]mirzaSet), faults: px.log}
 		for k, trhd := range mirzaTRHDs {
+			p.faults.Merge(res[k].faults)
 			p.sets[trhd] = mirzaSet{total: setTotals(sets[k]), warm: warm[k], measured: res[k].measured}
+		}
+		if len(prac) > 0 {
+			p.prac = &res[len(sets)]
 		}
 		return p, nil
 	})
@@ -269,11 +273,14 @@ func (x *Exec) mirzaSets(name string) (map[int]mirzaSet, error) {
 		return nil, err
 	}
 	x.log.Merge(p.faults)
-	return p.sets, nil
+	return p, nil
 }
 
+// mirzaSets is sharedPass without a PRAC set, as Table 8's and Fig 13's job.
+func (x *Exec) mirzaSets(name string) (*mirzaPass, error) { return x.sharedPass(name) }
+
 // Table8 reproduces Table VIII: the mitigation overhead of MINT vs MIRZA
-// over each workload's shared MIRZA pass (mirzaSets), its unmeasured first
+// over each workload's shared MIRZA pass (sharedPass), its unmeasured first
 // window included.
 func (r *Runner) Table8() (*Table, error) {
 	specs, err := r.opts.workloadSpecs()
@@ -293,10 +300,10 @@ func (r *Runner) Table8() (*Table, error) {
 	}
 	for _, trhd := range mirzaTRHDs {
 		var sum core.MirzaStats
-		for _, sets := range perSpec {
-			sum.ACTs += sets[trhd].total.ACTs
-			sum.Escaped += sets[trhd].total.Escaped
-			sum.Mitigations += sets[trhd].total.Mitigations
+		for _, p := range perSpec {
+			sum.ACTs += p.sets[trhd].total.ACTs
+			sum.Escaped += p.sets[trhd].total.Escaped
+			sum.Mitigations += p.sets[trhd].total.Mitigations
 		}
 		t.AddRow(table8Row(trhd, model.WindowForTRHD(trhd), sum)...)
 	}
@@ -323,8 +330,8 @@ func table8Row(trhd, mintW int, s core.MirzaStats) []string {
 }
 
 // Fig11b reproduces Figure 11(b): ALERTs per 100xtREFI per sub-channel for
-// MIRZA and PRAC. One job per workload: the MIRZA columns read the shared
-// MIRZA pass (mirzaSets), and one measured pass replays a fresh PRAC set.
+// MIRZA and PRAC. One job per workload reads the shared pass (sharedPass),
+// which carries the PRAC set unless Table 8 or Fig 13 ran it first.
 func (r *Runner) Fig11b() (*Table, error) {
 	specs, err := r.opts.workloadSpecs()
 	if err != nil {
@@ -348,10 +355,6 @@ func (r *Runner) Fig11b() (*Table, error) {
 
 	// Per workload: the three MIRZA configurations, then PRAC.
 	rates, err := runJobs(r, workloadJobs("fig11b", specs, func(x *Exec, name string) ([]float64, error) {
-		mirza, err := x.mirzaSets(name)
-		if err != nil {
-			return nil, err
-		}
 		b, err := x.buildPolicy("prac", 1000, nil)
 		if err != nil {
 			return nil, err
@@ -360,12 +363,22 @@ func (r *Runner) Fig11b() (*Table, error) {
 		for i := range prac {
 			prac[i] = b.Factory()(i, track.NopSink{})
 		}
-		res, err := x.replay(name, replayPass{kind: measurePass, sets: [][]track.Mitigator{prac}})
+		p, err := x.sharedPass(name, prac)
 		if err != nil {
 			return nil, err
 		}
-		return []float64{alertRate(mirza[500].measured), alertRate(mirza[1000].measured),
-			alertRate(mirza[2000].measured), alertRate(res[0].measured)}, nil
+		res := p.prac
+		if res != nil {
+			x.log.Merge(res.faults)
+		} else {
+			own, err := x.replay(name, replayPass{kind: measurePass, sets: [][]track.Mitigator{prac}})
+			if err != nil {
+				return nil, err
+			}
+			res = &own[0]
+		}
+		return []float64{alertRate(p.sets[500].measured), alertRate(p.sets[1000].measured),
+			alertRate(p.sets[2000].measured), alertRate(res.measured)}, nil
 	}))
 	if err != nil {
 		return nil, err
@@ -408,10 +421,10 @@ func (r *Runner) Fig13() (*Table, error) {
 	for _, trhd := range []int{500, 1000, 2000} {
 		mintW := model.WindowForTRHD(trhd)
 		var acts, mirzaVictims, demandRows int64
-		for _, sets := range perSpec {
+		for _, p := range perSpec {
 			// MIRZA's mitigations count over the measured windows only,
 			// the span demandRows covers.
-			set := sets[trhd]
+			set := p.sets[trhd]
 			mirzaVictims += (set.total.Mitigations - set.warm.Mitigations) * track.MitigationVictims
 			for _, s := range set.measured {
 				acts += s.ACTs
